@@ -39,10 +39,11 @@ struct workload {
 
 // Share of --seconds each phase's schedule takes. The closed-loop tails of
 // serve and churn run on top, sized to a few seconds each. The static phase
-// gets the most: its times are the bulk of the gated metrics.
-constexpr double kStaticShare = 0.5;
-constexpr double kServeShare = 0.25;
-constexpr double kChurnShare = 0.25;
+// gets the most: its times are the bulk of the gated metrics, and a longer
+// window averages over more of the host's speed changes.
+constexpr double kStaticShare = 0.6;
+constexpr double kServeShare = 0.2;
+constexpr double kChurnShare = 0.2;
 
 workload make_workload(const std::string& name, double seconds, bool toy) {
   workload w;
@@ -61,8 +62,8 @@ workload make_workload(const std::string& name, double seconds, bool toy) {
     w.sv.batch_size = w.ch.batch_size = 64;
     w.ch.erases_per_batch = 8;
   }
-  // Closed-loop sizes scale with the budget (36 s is the reference run).
-  const double closed = (toy ? 0.03 : 1.0) * std::max(0.1, seconds / 36);
+  // Closed-loop sizes scale with the budget (42 s is the reference run).
+  const double closed = (toy ? 0.03 : 1.0) * std::max(0.1, seconds / 42);
   w.static_seconds = kStaticShare * seconds;
   w.sv.seconds = kServeShare * seconds;
   w.ch.seconds = kChurnShare * seconds;

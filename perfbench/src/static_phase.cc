@@ -188,11 +188,13 @@ class static_phase final : public phase {
       } while (seconds_between(start, clock_type::now()) < seconds_);
     }
     for (int f = 0; f < 4; ++f) rep.e2e(kFamilyMetric[f], median(family_s[f]), "s");
-    rep.e2e("suite_1w_s", median(suite_1w_s), "s");
     rep.samples.push_back({"static_passes_p", family_s[0].size()});
     rep.samples.push_back({"static_passes_1w", suite_1w_s.size()});
 
     if (!trace) return;
+    // One worker carries the whole 1-worker pass, so it follows the speed of
+    // one host core; its run-to-run spread is too wide to gate (README.md).
+    rep.layer("algorithms.suite_1w_s", median(suite_1w_s), "s");
     for (std::size_t p = 0; p < kProblems.size(); ++p) {
       rep.layer(std::string("algorithms.") + kProblems[p].name + "_s",
                 median(problem_s[p]), "s");
