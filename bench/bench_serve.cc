@@ -9,10 +9,8 @@
 // ingested by a writer thread (publish per batch, registered as an
 // external scheduler worker) while a closed-loop generator keeps
 // `readers` query threads saturated with the standard mixed workload
-// (make_mixed_query) served with the fresh overlay path + adaptive
-// stale-routing. Each row also records where scheduler forks landed
-// (per-reader deques vs deque 0) and how many analytics the stale policy
-// routed to the memoized merged CSR.
+// (make_mixed_query) served with the fresh overlay path. Each row also
+// records where scheduler forks landed (per-reader deques vs deque 0).
 // Reported per row: ingest rate (Me/s, wall-clock of the writer),
 // completed queries/s, p50/p99 query latency, and p50 publish latency.
 //
@@ -57,11 +55,9 @@ struct serve_result {
   // on their own deques; forks that landed on deque 0 during the run —
   // expected 0, since the writer forks onto its own external slot and the
   // main thread (worker 0) only submits and blocks, so a non-zero value
-  // signals a registration failure; analytics the adaptive stale policy
-  // routed to the memoized merged CSR.
+  // signals a registration failure.
   std::uint64_t reader_forks = 0;
   std::uint64_t deque0_forks = 0;
-  std::uint64_t stale_auto_routes = 0;
 };
 
 serve_result run_config(const std::vector<gbbs::edge<empty_weight>>& edges,
@@ -74,13 +70,8 @@ serve_result run_config(const std::vector<gbbs::edge<empty_weight>>& edges,
   const std::uint64_t deque0_before =
       parlib::scheduler::instance().push_count(0);
   res.wall_s = bench::time_once([&] {
-    // Adaptive stale-routing on: the serving-layer default-best config —
-    // repeat analytics on an unchanged version hit the memoized merged
-    // CSR once the merge amortizes.
-    gbbs::serve::query_engine_options opts;
-    opts.stale_auto = true;
-    gbbs::serve::query_engine<empty_weight> engine(
-        mgr.store(), &mgr.overlay(), readers, opts);
+    gbbs::serve::query_engine<empty_weight> engine(mgr.store(),
+                                                   &mgr.overlay(), readers);
     std::atomic<bool> writer_done{false};
     std::thread writer([&] {
       // Registered external worker: ingest-internal parallel_for forks
@@ -116,7 +107,6 @@ serve_result run_config(const std::vector<gbbs::edge<empty_weight>>& edges,
     engine.drain();
     res.kinds = engine.latency_by_kind();
     res.reader_forks = engine.reader_forks();
-    res.stale_auto_routes = engine.stale_auto_routed();
   });
   res.deque0_forks =
       parlib::scheduler::instance().push_count(0) - deque0_before;
@@ -483,8 +473,7 @@ int main(int argc, char** argv) {
                          .field("publish_p99_ms",
                                 r.publish_latency.p99 * 1e3)
                          .field("reader_forks", r.reader_forks)
-                         .field("deque0_forks", r.deque0_forks)
-                         .field("stale_auto_routes", r.stale_auto_routes));
+                         .field("deque0_forks", r.deque0_forks));
       // Per-kind latency rows: the SLO-accounting numbers the CI smoke
       // step watches for per-kind regressions.
       for (std::size_t k = 0; k < gbbs::serve::kNumQueryKinds; ++k) {

@@ -5,10 +5,11 @@
 //     stable references for the process lifetime. Stage-span histograms
 //     (trace.h) and the ingest pipeline live here.
 //   * attached metrics: a component that keeps per-instance stats (the
-//     query engine's per-kind histograms) registers a pointer under a
-//     name and gets an RAII handle; on detach the histogram's final
-//     contents are folded into an owned histogram of the same name, so a
-//     snapshot taken after the component dies still carries its totals.
+//     query engine's per-kind histograms and event counters) registers a
+//     pointer under a name and gets an RAII handle; on detach the
+//     metric's final contents are folded into the owned metric of the
+//     same name, so a snapshot taken after the component dies still
+//     carries its totals.
 //   * callbacks: bridges to external state read at snapshot time — the
 //     parlib event counters (read through their seqlock-consistent
 //     snapshot(), never field-by-field against a racing reset) and the
@@ -139,6 +140,17 @@ class registry {
     return scoped_attach(this, id);
   }
 
+  // Attach an externally owned counter under `name`; same-name counters
+  // (owned and attached) sum in snapshots, and detaching folds the
+  // counter's value into the owned one. The counter must outlive the
+  // returned handle.
+  scoped_attach attach_counter(std::string name, const counter* c) {
+    std::lock_guard<std::mutex> lk(mutex_);
+    const std::uint64_t id = next_attach_id_++;
+    attached_counters_.push_back({std::move(name), c, id});
+    return scoped_attach(this, id);
+  }
+
   // Snapshot-time bridge to external state; `fn` appends entries. Lives
   // for the registry's lifetime (intended for process-global sources).
   void add_callback(std::function<void(metrics_snapshot&)> fn) {
@@ -149,9 +161,10 @@ class registry {
   metrics_snapshot read() const {
     metrics_snapshot s;
     std::lock_guard<std::mutex> lk(mutex_);
-    for (const auto& [name, c] : counters_) {
-      s.counters.emplace_back(name, c->value());
-    }
+    std::map<std::string, std::uint64_t> counts;
+    for (const auto& [name, c] : counters_) counts[name] += c->value();
+    for (const auto& a : attached_counters_) counts[a.name] += a.ctr->value();
+    s.counters.assign(counts.begin(), counts.end());
     for (const auto& [name, g] : gauges_) {
       s.gauges.emplace_back(name, g->value());
     }
@@ -261,6 +274,11 @@ class registry {
     const histogram* hist;
     std::uint64_t id;
   };
+  struct attached_counter {
+    std::string name;
+    const counter* ctr;
+    std::uint64_t id;
+  };
 
   void detach(std::uint64_t id) {
     std::lock_guard<std::mutex> lk(mutex_);
@@ -271,6 +289,15 @@ class registry {
       if (slot == nullptr) slot = std::make_unique<histogram>();
       slot->merge_from(*attached_[i].hist);
       attached_.erase(attached_.begin() + static_cast<std::ptrdiff_t>(i));
+      return;
+    }
+    for (std::size_t i = 0; i < attached_counters_.size(); ++i) {
+      if (attached_counters_[i].id != id) continue;
+      auto& slot = counters_[attached_counters_[i].name];
+      if (slot == nullptr) slot = std::make_unique<counter>();
+      slot->add(attached_counters_[i].ctr->value());
+      attached_counters_.erase(attached_counters_.begin() +
+                               static_cast<std::ptrdiff_t>(i));
       return;
     }
   }
@@ -319,6 +346,7 @@ class registry {
   std::map<std::string, std::unique_ptr<gauge>> gauges_;
   std::map<std::string, std::unique_ptr<histogram>> histograms_;
   std::vector<attached_entry> attached_;
+  std::vector<attached_counter> attached_counters_;
   std::vector<std::function<void(metrics_snapshot&)>> callbacks_;
   std::uint64_t next_attach_id_ = 1;
 };

@@ -150,6 +150,15 @@ struct query {
   parlib::cancel::token* cancel = nullptr;
 };
 
+// The view a result was served from.
+enum class query_route : std::uint8_t {
+  overlay,   // the freshest overlay index (execute_fresh_query)
+  pinned,    // one published version (execute_query)
+  degraded,  // brownout: the published merged CSR, possibly behind the
+             // overlay by `staleness` updates
+  cache,     // a result-cache hit, identical to re-executing fresh
+};
+
 struct query_result {
   std::uint64_t version = 0;  // snapshot version the query executed against
   std::uint64_t epoch = 0;    // ingest epoch, when served from the overlay
@@ -158,11 +167,11 @@ struct query_result {
   std::vector<vertex_id> list;  // neighbors payload
   double latency_s = 0;         // filled by the query engine
   query_status status = query_status::ok;
-  // Brownout: analytics answered from the published merged CSR instead of
-  // the fresh overlay carry degraded = true plus how many ingested updates
-  // the served version is behind the freshest index (bounded by the
-  // engine's degraded_staleness_bound).
-  bool degraded = false;
+  // How the answer was served (meaningful when status == ok). A degraded
+  // answer also carries how many ingested updates the served version is
+  // behind the freshest index (bounded by the engine's
+  // degraded_staleness_bound).
+  query_route route = query_route::overlay;
   std::uint64_t staleness = 0;
 
   bool rejected() const { return status == query_status::rejected; }
@@ -249,6 +258,7 @@ query_result execute_query(const pinned_snapshot<W>& snap, const query& q,
   const overlay_snapshot<W>* ov = snap.overlay();
   query_result r;
   r.version = snap.version();
+  r.route = query_route::pinned;
   // Composite (sharded) versions: point reads route to the owning shard's
   // snapshot, analytics traverse the stitched composite_view (or the
   // memoized stitched CSR when explicitly stale). Connectivity kinds fall
@@ -341,19 +351,6 @@ query_result execute_fresh_query(
       break;
   }
   return r;
-}
-
-// Backwards-compatible name for the point-read-only entry point (the
-// fresh path now serves every kind). Pre: any kind is fine.
-template <typename W>
-query_result execute_point_query(const overlay_snapshot<W>& idx,
-                                 const query& q) {
-  // The shared_ptr aliasing constructor keeps no ownership: callers of
-  // this legacy signature already guarantee idx outlives the call.
-  return execute_fresh_query(
-      std::shared_ptr<const overlay_snapshot<W>>(
-          std::shared_ptr<const overlay_snapshot<W>>{}, &idx),
-      q);
 }
 
 }  // namespace gbbs::serve

@@ -1,24 +1,29 @@
 // Reader pool: N threads draining a queue of typed queries.
 //
-// Routing. When the engine was given an overlay_view, *every* query kind
-// defaults to the freshest overlay index — point reads straight off it,
-// traversal analytics (bfs / kcore / triangles / connectivity refinement)
-// through the overlay-fused dynamic_view — so analytics freshness matches
-// the point-read path and no query materializes the merged CSR. A query
-// with `stale = true` — and every query, when no overlay is wired — pins
-// the store's latest published version right before executing, holds the
-// pin for exactly the query's duration, and records the version in the
-// result (stale analytics use the version's memoized merged CSR).
+// Routing (select_view). Each query is planned once — which view serves
+// it — and executed once against that plan; query_result::route reports
+// the route taken:
 //
-// Sharded routing. When the engine was given a shard_router (the sharded
-// ingest path, see sharded_ingest.h), per-vertex point reads (degree /
-// neighbors) go to the *owning* shard's seqlock overlay_view — no
-// cross-shard coordination on the read hot path, freshness = that shard's
-// last apply. Everything else — connectivity point reads, whose labels
-// are only merged across shards at the composite-publish barrier, and
-// whole-graph analytics, which need all shards at one clock value — pins
-// the latest composite version (execute_query routes through the stitched
-// composite payload).
+//   query kind         engine wiring   stale / brownout          route
+//   -----------------  --------------  ------------------------  --------
+//   any                overlay         -                         overlay
+//   any                overlay         q.stale                   pinned
+//   analytics          overlay         level >= 1, published     degraded
+//                                      version within the bound
+//   any                none            any                       pinned
+//   degree, neighbors  shard router    -                         overlay
+//   other kinds        shard router    any                       pinned
+//   any non-stale      cache wired     read-set untouched        cache
+//
+// `overlay` is the freshest overlay index (every ingest that returned
+// before the read); analytics traverse it fused, so no query builds the
+// merged CSR. Sharded, it is the owning shard's overlay. `pinned` holds
+// the latest published (sharded: composite) version for the query's
+// duration; stale analytics use its memoized merged CSR. `degraded` is
+// brownout rung 1 (see query_engine_options). Standing-query
+// re-evaluations are never degraded: they must record their read-set on
+// the fresh view. An overlay engine with no index yet pins; nothing
+// published resolves unavailable.
 //
 // The pool runs concurrently with the single writer publishing into the
 // same snapshot_store — admission control is the lock-free pin (or the
@@ -48,8 +53,8 @@
 //
 // SLO + stage accounting (the obs layer). Every query is decomposed into
 // the three pipeline stages — queue wait (submit -> dequeue), view
-// selection (dequeue -> overlay read / version pin / stale-routing
-// decision), execute — and each stage plus the total client-observed
+// selection (dequeue -> select_view: overlay read / version pin),
+// execute — and each stage plus the total client-observed
 // latency is recorded into worker-sharded obs::histograms (bounded
 // memory, exact counts/maxima, bucket-estimated percentiles; one lock-free
 // sharded increment per stage on the hot path). The per-kind histograms
@@ -72,18 +77,6 @@
 // engine measures where forks land (scheduler::push_count on the reader's
 // slot, flushed into parlib::event_counters::sched_reader_forks once per
 // query) so tests and benches can assert the registration is effective.
-//
-// Adaptive stale-routing (options.stale_auto). The fresh analytics path
-// traverses base ⊕ overlay fused per neighbor — never materializing the
-// merged CSR — which is the right trade while the graph keeps changing.
-// But an analytics-heavy stretch on an *unchanged* graph amortizes the
-// version's memoized merge: after stale_auto_threshold consecutive
-// analytics against one (version, epoch), the engine auto-routes further
-// analytics to the latest *published* version's merged CSR — but only
-// when that version covers exactly the same updates as the fresh overlay
-// (snap.updates_ingested == overlay epoch), so routed results are
-// identical to fresh ones and freshness is never silently lost. The
-// manual q.stale flag remains an unconditional override.
 //
 // Result cache (options.cache — see result_cache.h). When wired, a
 // non-stale query first consults the cache ("serve.cache.lookup" span): a
@@ -258,21 +251,13 @@ struct query_engine_options {
   double slo_point_s = 0;
   double slo_analytics_s = 0;
 
-  // Adaptive stale-routing: after `stale_auto_threshold` consecutive
-  // analytics against one unchanged (version, epoch), route further
-  // analytics to the published version's memoized merged CSR — only when
-  // lossless (the published version covers the same updates as the fresh
-  // overlay). The manual query.stale flag still forces the stale path.
-  bool stale_auto = false;
-  std::uint32_t stale_auto_threshold = 4;
-
   // Brownout controller (overload protection). When enabled, submit-side
   // admission walks a degradation ladder driven by queue depth (and,
   // optionally, the all-kind queue-wait p99):
   //   level 0  normal
   //   level 1  degrade: analytics answered from the published memoized
   //            merged CSR with a bounded-staleness annotation
-  //            (result.degraded / result.staleness)
+  //            (result.route == degraded, result.staleness)
   //   level 2  + shed low-priority analytics (status = rejected)
   //   level 3  + shed all analytics; point reads stay admitted until the
   //            queue is hard-full
@@ -301,6 +286,107 @@ struct query_engine_options {
   // engine. Null disables caching and standing queries.
   result_cache* cache = nullptr;
 };
+
+// The pinned version's position on the cache's invalidation clock: the
+// composite batch-version clock for sharded versions, the ingested-update
+// count for single-writer ones — each the domain the owning manager's
+// invalidate() calls use.
+template <typename W>
+std::uint64_t pinned_epoch(const pinned_snapshot<W>& snap) {
+  if (const composite_snapshot<W>* cs = snap.composite()) return cs->clock;
+  return snap.updates_ingested();
+}
+
+// Which view serves a query (see the routing table in the file header).
+// Owns the overlay index or the version pin it needs; false when there is
+// nothing published to serve from.
+template <typename W>
+struct view_plan {
+  query_route route = query_route::pinned;
+  std::shared_ptr<const overlay_snapshot<W>> idx;  // route == overlay
+  pinned_snapshot<W> snap;                          // pinned / degraded
+  std::uint64_t epoch = 0;      // the view's position on the cache clock
+  std::uint64_t staleness = 0;  // degraded: updates behind the overlay
+
+  explicit operator bool() const {
+    return idx != nullptr || static_cast<bool>(snap);
+  }
+};
+
+// The overlay that can serve q fresh, or null: the single-writer overlay
+// serves every kind; a sharded engine serves only per-vertex point reads
+// fresh, from the owning shard.
+template <typename W>
+const overlay_view<W>* fresh_source(const query& q,
+                                    const overlay_view<W>* overlay,
+                                    const shard_router<W>& router) {
+  if (overlay != nullptr) return overlay;
+  if (!router.empty() &&
+      (q.kind == query_kind::degree || q.kind == query_kind::neighbors)) {
+    return &router.owner(q.u);
+  }
+  return nullptr;
+}
+
+// Plan q: `fresh` is fresh_source's answer, `degrade_level` the brownout
+// rung. The store.pin.fail failpoint makes every pin come back empty.
+template <typename W>
+view_plan<W> select_view(const query& q, const overlay_view<W>* fresh,
+                         const snapshot_store<W>& store, int degrade_level,
+                         bool is_subscription,
+                         std::uint64_t degraded_staleness_bound) {
+  const auto pin = [&store]() -> pinned_snapshot<W> {
+    if (GBBS_FAILPOINT_TRIGGERED("store.pin.fail")) return {};
+    return store.pin();
+  };
+  view_plan<W> plan;
+  if (fresh != nullptr && !q.stale) plan.idx = fresh->read();
+  if (plan.idx == nullptr) {
+    plan.snap = pin();
+    if (plan.snap) plan.epoch = pinned_epoch(plan.snap);
+    return plan;
+  }
+  // Point reads stay fresh under brownout: they are O(deg), degrading
+  // them would save nothing.
+  if (degrade_level >= 1 && !is_point_read(q.kind) && !is_subscription) {
+    if (pinned_snapshot<W> snap = pin()) {
+      const std::uint64_t published = snap.updates_ingested();
+      const std::uint64_t behind =
+          plan.idx->epoch > published ? plan.idx->epoch - published : 0;
+      if (behind <= degraded_staleness_bound) {
+        plan.route = query_route::degraded;
+        plan.idx = nullptr;
+        plan.snap = std::move(snap);
+        plan.staleness = behind;
+        return plan;
+      }
+    }
+  }
+  plan.route = query_route::overlay;
+  plan.epoch = plan.idx->epoch;
+  return plan;
+}
+
+// Execute q against its plan; the plan's index or pin is released when
+// this returns. `rec` (optional) records the analytics read-set.
+template <typename W>
+query_result execute_plan(view_plan<W> plan, const query& q,
+                          read_set_recorder* rec) {
+  switch (plan.route) {
+    case query_route::overlay:
+      return execute_fresh_query(std::move(plan.idx), q, rec);
+    case query_route::degraded: {
+      query sq = q;
+      sq.stale = true;  // the published version's memoized merged CSR
+      query_result r = execute_query(plan.snap, sq, rec);
+      r.route = query_route::degraded;
+      r.staleness = plan.staleness;
+      return r;
+    }
+    default:
+      return execute_query(plan.snap, q, rec);
+  }
+}
 
 template <typename W>
 class query_engine {
@@ -383,14 +469,18 @@ class query_engine {
         reg.attach_histogram("serve.query.view_select", &view_select_));
     registrations_.push_back(reg.attach_histogram(
         "serve.query.queue_wait.all", &queue_wait_all_));
-    // Robustness counters live in the registry (stable refs, cached here)
-    // so they surface in -metrics-json / Prometheus without a bridge.
-    timed_out_ctr_ = &reg.get_counter("serve.query.timed_out");
-    shed_ctr_ = &reg.get_counter("serve.query.shed");
-    cancelled_ctr_ = &reg.get_counter("serve.query.cancelled");
-    unavailable_ctr_ = &reg.get_counter("serve.query.unavailable");
-    degraded_ctr_ = &reg.get_counter("serve.query.degraded");
-    degrade_transitions_ctr_ = &reg.get_counter("serve.degrade.transitions");
+    // Robustness counters: engine-owned, attached to the registry the
+    // same way, so they surface in -metrics-json / Prometheus (summed
+    // over live engines) and survive the engine.
+    const auto attach = [&](const char* name, const obs::counter* c) {
+      registrations_.push_back(reg.attach_counter(name, c));
+    };
+    attach("serve.query.timed_out", &timed_out_);
+    attach("serve.query.shed", &shed_);
+    attach("serve.query.cancelled", &cancelled_);
+    attach("serve.query.unavailable", &unavailable_);
+    attach("serve.query.degraded", &degraded_);
+    attach("serve.degrade.transitions", &degrade_transitions_);
     degrade_level_gauge_ = &reg.get_gauge("serve.degrade.level");
     // Brownout rungs: explicit options win; otherwise derived from the
     // queue bound. No bound and no rungs means no ladder to stand on.
@@ -480,8 +570,7 @@ class query_engine {
         if (!is_point_read(q.kind) &&
             (level >= 3 ||
              (level >= 2 && q.priority == query_priority::low))) {
-          shed_.fetch_add(1, std::memory_order_relaxed);
-          shed_ctr_->add();
+          shed_.add();
           query_result r;
           r.status = query_status::rejected;
           it.promise.set_value(std::move(r));
@@ -622,41 +711,25 @@ class query_engine {
     return reader_forks_.load(std::memory_order_relaxed);
   }
 
-  // Analytics auto-routed to a published version's memoized merged CSR by
-  // the adaptive stale policy (always 0 unless options.stale_auto).
-  std::uint64_t stale_auto_routed() const {
-    return stale_auto_routed_.load(std::memory_order_relaxed);
-  }
-
   // ---- robustness observability -------------------------------------------
 
   // Queries resolved timed_out (deadline expired in queue or mid-flight).
-  std::uint64_t timed_out() const {
-    return timed_out_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t timed_out() const { return timed_out_.value(); }
   // Queries resolved cancelled via an explicit token.
-  std::uint64_t cancelled_queries() const {
-    return cancelled_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t cancelled_queries() const { return cancelled_.value(); }
   // Analytics shed by the brownout ladder (status = rejected at submit).
-  std::uint64_t shed() const {
-    return shed_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t shed() const { return shed_.value(); }
   // Queries resolved unavailable (nothing published to serve from).
-  std::uint64_t unavailable() const {
-    return unavailable_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t unavailable() const { return unavailable_.value(); }
   // Analytics answered degraded (published merged CSR under brownout).
-  std::uint64_t degraded_served() const {
-    return degraded_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t degraded_served() const { return degraded_.value(); }
   // Current brownout rung (0 = normal .. 3 = shed all analytics).
   int degrade_level() const {
     return degrade_level_.load(std::memory_order_relaxed);
   }
   // Ladder transitions (every level change, up or down).
   std::uint64_t degrade_transitions() const {
-    return degrade_transitions_.load(std::memory_order_relaxed);
+    return degrade_transitions_.value();
   }
 
   // Per-kind latency/SLO summary over everything completed so far.
@@ -712,22 +785,6 @@ class query_engine {
                             : options_.slo_analytics_s;
   }
 
-  static std::uint64_t stale_state_key(std::uint64_t version,
-                                       std::uint64_t epoch) {
-    return version * 0x9E3779B97F4A7C15ull ^ (epoch + 1);
-  }
-
-  // The pinned version's position on the cache's invalidation clock: the
-  // composite batch-version clock for sharded versions, the ingested-
-  // update count for single-writer ones — each the domain the owning
-  // manager's invalidate() calls use.
-  static std::uint64_t pinned_epoch(const pinned_snapshot<W>& snap) {
-    if (const composite_snapshot<W>* cs = snap.composite()) {
-      return cs->clock;
-    }
-    return snap.updates_ingested();
-  }
-
   // Walk the brownout ladder. Called from submit with mutex_ held (queue
   // depth is exact). Depth picks the target rung; the all-kind queue-wait
   // p99 (sampled every 64th submit — a histogram read is not free)
@@ -770,8 +827,7 @@ class query_engine {
   void set_degrade_level_locked(int level) {
     bn_last_change_ = bn_ticks_;
     degrade_level_.store(level, std::memory_order_relaxed);
-    degrade_transitions_.fetch_add(1, std::memory_order_relaxed);
-    degrade_transitions_ctr_->add();
+    degrade_transitions_.add();
     degrade_level_gauge_->set(level);
     // Flight-recorder tag: the transition shows up on whatever request
     // timeline triggered it, arg = the new rung.
@@ -831,21 +887,6 @@ class query_engine {
     if (idle) idle_cv_.notify_all();
   }
 
-  // True once `count` consecutive analytics have executed against the
-  // same (version, epoch) — the signal that the graph is holding still
-  // under an analytics-heavy stretch. Racy by design: concurrent readers
-  // may miscount a little, which only delays or hastens the switch.
-  bool should_route_stale(std::uint64_t key) {
-    if (stale_key_.load(std::memory_order_relaxed) != key) {
-      stale_key_.store(key, std::memory_order_relaxed);
-      stale_run_.store(1, std::memory_order_relaxed);
-      return false;
-    }
-    const std::uint32_t run =
-        stale_run_.fetch_add(1, std::memory_order_relaxed) + 1;
-    return run > options_.stale_auto_threshold;
-  }
-
   void reader_loop() {
     // Own deque slot for this reader: query-internal forks land here (and
     // this thread help-steals while joining) instead of running inline.
@@ -882,8 +923,7 @@ class query_engine {
         r.latency_s = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - it.submitted)
                           .count();
-        timed_out_.fetch_add(1, std::memory_order_relaxed);
-        timed_out_ctr_->add();
+        timed_out_.add();
         it.promise.set_value(std::move(r));
         finish_one();
         continue;
@@ -896,19 +936,15 @@ class query_engine {
       // The engine-wide queue-wait sample feeds the brownout controller.
       queue_wait_all_.record_s(
           std::chrono::duration<double>(dequeued - it.submitted).count());
-      // Set right before the query's algorithm runs, in whichever branch
-      // serves it: [dequeued, exec_start) is view selection (overlay read
-      // / version pin / stale-routing), [exec_start, done) is execution.
+      // Set right before the query's algorithm runs: [dequeued,
+      // exec_start) is view selection (cache lookup / select_view),
+      // [exec_start, done) is execution.
       auto exec_start = dequeued;
       const std::uint64_t forks_before =
           guard.registered()
               ? parlib::scheduler::instance().push_count(guard.slot())
               : 0;
       query_result r;
-      bool served = false;
-      bool from_cache = false;
-      bool insertable = false;     // canonical result, safe to cache
-      std::uint64_t entry_epoch = 0;  // its data epoch (cache clock domain)
       // Read-set recorder for this execution: needed when a cacheable
       // analytics result will be inserted (bfs precision; whole-graph
       // kinds record the universe) and for every standing-query re-eval.
@@ -920,20 +956,17 @@ class query_engine {
           ((cacheable || it.sub != nullptr) && !is_point_read(it.q.kind))
               ? &rec
               : nullptr;
+      bool from_cache = false;
       if (cacheable) {
         // Lookup is one atomic load + the read-set epoch check; a hit
         // skips view selection and execution entirely.
         static const obs::stage_ref s_lookup =
             obs::stage_named("serve.cache.lookup");
         obs::trace_span cspan(s_lookup);
-        if (cache_->lookup(it.q, &r)) {
-          fr.emit(obs::event_type::instant, cache_hit_name_id_);
-          served = true;
-          from_cache = true;
-          exec_start = std::chrono::steady_clock::now();
-        } else {
-          fr.emit(obs::event_type::instant, cache_miss_name_id_);
-        }
+        from_cache = cache_->lookup(it.q, &r);
+        fr.emit(obs::event_type::instant,
+                from_cache ? cache_hit_name_id_ : cache_miss_name_id_);
+        if (from_cache) exec_start = std::chrono::steady_clock::now();
       }
       // Cancellation token for the execution: caller-supplied when the
       // query carries one, else a loop-local token when a deadline is
@@ -944,124 +977,24 @@ class query_engine {
       parlib::cancel::token* tok = it.q.cancel;
       if (tok == nullptr && it.has_deadline) tok = &local_token;
       if (tok != nullptr && it.has_deadline) tok->set_deadline(it.deadline);
-      if (!served) {
+      bool executed = false;
+      std::uint64_t entry_epoch = 0;  // the view's cache-clock position
+      if (!from_cache) {
         parlib::cancel::token_scope cscope(tok);
         GBBS_FAILPOINT_SLEEP("serve.exec.delay");
-        // store.pin.fail: pin behaves as if nothing were published.
-        const auto pin = [this]() -> pinned_snapshot<W> {
-          if (GBBS_FAILPOINT_TRIGGERED("store.pin.fail")) {
-            return pinned_snapshot<W>{};
-          }
-          return store_.pin();
-        };
-        // Fresh-source selection: the single-writer overlay serves every
-        // kind; in sharded mode only per-vertex point reads are overlay-
-        // fresh (owner shard), the rest need the composite barrier and
-        // fall to the pinned path below.
-        const overlay_view<W>* fresh_src = nullptr;
-        if (!it.q.stale) {
-          if (overlay_ != nullptr) {
-            fresh_src = overlay_;
-          } else if (!router_.empty() &&
-                     (it.q.kind == query_kind::degree ||
-                      it.q.kind == query_kind::neighbors)) {
-            fresh_src = &router_.owner(it.q.u);
-          }
-        }
-        if (fresh_src != nullptr) {
-          // Fresh path: the overlay index current right now (covers every
-          // ingest that returned before this read) serves every kind —
-          // analytics traverse it fused, no merged-CSR build.
-          if (auto idx = fresh_src->read()) {
-            // Brownout level >= 1: analytics route to the published
-            // memoized merged CSR even when it lags the overlay —
-            // lossy-but-bounded (degraded_staleness_bound), annotated on
-            // the result — trading freshness for the merge-amortized CSR
-            // traversal while the queue is hot. Point reads stay fresh
-            // (they are O(deg); degrading them would save nothing).
-            if (!is_point_read(it.q.kind) &&
-                degrade_level_.load(std::memory_order_relaxed) >= 1) {
-              if (pinned_snapshot<W> snap = pin()) {
-                const std::uint64_t behind =
-                    idx->epoch >= snap.updates_ingested()
-                        ? idx->epoch - snap.updates_ingested()
-                        : 0;
-                if (behind <= options_.degraded_staleness_bound) {
-                  query sq = it.q;
-                  sq.stale = true;
-                  exec_start = std::chrono::steady_clock::now();
-                  r = execute_query(snap, sq);
-                  r.degraded = true;
-                  r.staleness = behind;
-                  degraded_.fetch_add(1, std::memory_order_relaxed);
-                  degraded_ctr_->add();
-                  served = true;
-                }
-              }
-            }
-            const std::uint64_t skey =
-                options_.stale_auto
-                    ? stale_state_key(idx->base_version, idx->epoch)
-                    : 0;
-            const bool known_unroutable =
-                options_.stale_auto &&
-                stale_unroutable_.load(std::memory_order_relaxed) == skey &&
-                stale_unroutable_version_.load(std::memory_order_relaxed) ==
-                    store_.current_version();
-            if (!served && options_.stale_auto && !is_point_read(it.q.kind) &&
-                should_route_stale(skey) && !known_unroutable) {
-              // Route to the published version's memoized merged CSR, but
-              // only when it covers exactly the overlay's updates — routed
-              // results then equal fresh results, just off a contiguous CSR.
-              // A state whose published version lags is remembered as
-              // unroutable, so later queries skip the futile pin until the
-              // writer publishes again.
-              if (pinned_snapshot<W> snap = pin();
-                  snap && snap.updates_ingested() == idx->epoch) {
-                query sq = it.q;
-                sq.stale = true;
-                exec_start = std::chrono::steady_clock::now();
-                r = execute_query(snap, sq, rec_ptr);
-                stale_auto_routed_.fetch_add(1, std::memory_order_relaxed);
-                // Lossless by the check above: identical to fresh, so
-                // cacheable at the overlay's epoch.
-                insertable = true;
-                entry_epoch = idx->epoch;
-                served = true;
-              } else {
-                stale_unroutable_version_.store(store_.current_version(),
-                                                std::memory_order_relaxed);
-                stale_unroutable_.store(skey, std::memory_order_relaxed);
-              }
-            }
-            if (!served) {
-              exec_start = std::chrono::steady_clock::now();
-              // The index epoch is the cache's clock: the single-writer
-              // manager stamps its ingested-update count, a shard stamps
-              // its applied batch version — each matching what the owning
-              // manager's invalidate() publishes.
-              insertable = true;
-              entry_epoch = idx->epoch;
-              r = execute_fresh_query(std::move(idx), it.q, rec_ptr);
-              served = true;
-            }
-          } else if (pinned_snapshot<W> snap = pin()) {
-            exec_start = std::chrono::steady_clock::now();
-            insertable = true;
-            entry_epoch = pinned_epoch(snap);
-            r = execute_query(snap, it.q, rec_ptr);
-            served = true;
-          }
-        } else {
-          // Versioned path: pin the version current at execution; the query
-          // sees it regardless of how far ingest advances while it runs.
-          if (pinned_snapshot<W> snap = pin()) {
-            exec_start = std::chrono::steady_clock::now();
-            insertable = true;
-            entry_epoch = pinned_epoch(snap);
-            r = execute_query(snap, it.q, rec_ptr);
-            served = true;
-          }
+        // The ladder only moves with brownout on; otherwise the level
+        // stays 0 and need not be loaded.
+        view_plan<W> plan = select_view(
+            it.q, fresh_source(it.q, overlay_, router_), store_,
+            brownout_enabled_ ? degrade_level_.load(std::memory_order_relaxed)
+                              : 0,
+            it.sub != nullptr, options_.degraded_staleness_bound);
+        exec_start = std::chrono::steady_clock::now();
+        if (plan) {
+          entry_epoch = plan.epoch;
+          r = execute_plan(std::move(plan), it.q, rec_ptr);
+          executed = true;
+          if (r.route == query_route::degraded) degraded_.add();
         }
       }
       if (tok != nullptr && tok->cancelled()) {
@@ -1074,24 +1007,17 @@ class query_engine {
             expired ? query_status::timed_out : query_status::cancelled;
         fr.emit(obs::event_type::instant,
                 expired ? timed_out_name_id_ : cancelled_name_id_);
-        if (expired) {
-          timed_out_.fetch_add(1, std::memory_order_relaxed);
-          timed_out_ctr_->add();
-        } else {
-          cancelled_.fetch_add(1, std::memory_order_relaxed);
-          cancelled_ctr_->add();
-        }
-      } else if (!served) {
+        (expired ? timed_out_ : cancelled_).add();
+      } else if (!from_cache && !executed) {
         // Nothing published to serve from: say so instead of handing the
         // client a default-constructed (silently empty) result.
         r.status = query_status::unavailable;
-        unavailable_.fetch_add(1, std::memory_order_relaxed);
-        unavailable_ctr_->add();
+        unavailable_.add();
       }
-      if (cacheable && !from_cache && insertable &&
-          r.status == query_status::ok && !r.degraded) {
-        // Publish the canonical result back: read-set from the recorder
-        // (or the key, for point reads), epoch from the serving branch.
+      if (cacheable && executed) {
+        // Publish the result back (insert drops degraded and non-ok
+        // ones): read-set from the recorder (or the key, for point
+        // reads), epoch from the plan.
         cache_->insert(it.q, r, read_set_for(it.q, rec_ptr), entry_epoch);
       }
       if (guard.registered()) {
@@ -1187,6 +1113,14 @@ class query_engine {
   std::uint32_t cache_hit_name_id_ = 0;
   std::uint32_t cache_miss_name_id_ = 0;
   std::array<std::atomic<std::uint64_t>, kNumQueryKinds> slo_violations_{};
+  // Robustness accounting, one counter per event (attached to the
+  // registry under serve.query.* / serve.degrade.transitions).
+  obs::counter timed_out_;
+  obs::counter cancelled_;
+  obs::counter shed_;
+  obs::counter unavailable_;
+  obs::counter degraded_;
+  obs::counter degrade_transitions_;
   std::vector<obs::registry::scoped_attach> registrations_;
 
   mutable std::mutex mutex_;
@@ -1200,22 +1134,8 @@ class query_engine {
   bool stopping_ = false;
 
   std::atomic<std::uint64_t> reader_forks_{0};
-  std::atomic<std::uint64_t> stale_auto_routed_{0};
 
-  // Robustness accounting (engine-local; mirrored into registry counters).
-  std::atomic<std::uint64_t> timed_out_{0};
-  std::atomic<std::uint64_t> cancelled_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> unavailable_{0};
-  std::atomic<std::uint64_t> degraded_{0};
-  std::atomic<std::uint64_t> degrade_transitions_{0};
   std::atomic<int> degrade_level_{0};  // written under mutex_, read lock-free
-  obs::counter* timed_out_ctr_ = nullptr;
-  obs::counter* shed_ctr_ = nullptr;
-  obs::counter* cancelled_ctr_ = nullptr;
-  obs::counter* unavailable_ctr_ = nullptr;
-  obs::counter* degraded_ctr_ = nullptr;
-  obs::counter* degrade_transitions_ctr_ = nullptr;
   obs::gauge* degrade_level_gauge_ = nullptr;
   bool brownout_enabled_ = false;
   std::size_t bn_degrade_ = 0;   // ladder rungs (queue depths)
@@ -1231,11 +1151,6 @@ class query_engine {
   std::uint64_t cache_listener_id_ = 0;
   mutable std::mutex subs_mutex_;
   std::vector<std::shared_ptr<subscription>> subs_;
-  // Adaptive stale-routing run detection (racy-by-design, see above).
-  std::atomic<std::uint64_t> stale_key_{0};
-  std::atomic<std::uint32_t> stale_run_{0};
-  std::atomic<std::uint64_t> stale_unroutable_{0};
-  std::atomic<std::uint64_t> stale_unroutable_version_{0};
 };
 
 }  // namespace gbbs::serve

@@ -134,9 +134,9 @@ class result_cache {
   // ---- read side (query engine) -------------------------------------
 
   // Serve q from cache if present and provably untouched. On a hit, *out
-  // receives the stored result (version/epoch describe when it was
-  // computed — the freshness check proves it is still the answer the
-  // fresh path would produce). Lock-free: one atomic load plus the
+  // receives the stored result with route = cache (version/epoch describe
+  // when it was computed — the freshness check proves it is still the
+  // answer the fresh path would produce). Lock-free: one atomic load plus the
   // read-set epoch comparison. A stale entry found here is evicted and
   // counted as one invalidation (lazy invalidation realizes the batch's
   // logical invalidation at first touch).
@@ -164,6 +164,7 @@ class result_cache {
       return false;
     }
     *out = e->result;
+    out->route = query_route::cache;
     hits_ctr_->add();
     kind_hits_[kidx].fetch_add(1, std::memory_order_relaxed);
     return true;
@@ -173,11 +174,13 @@ class result_cache {
   // `epoch` is the data epoch it was computed from, in this cache's ingest
   // clock domain. Results that are already stale against the current
   // epochs (the batch raced the execution) are dropped rather than stored,
-  // so they never surface as spurious lazy invalidations. Degraded /
-  // non-ok results are the caller's responsibility to filter.
+  // so they never surface as spurious lazy invalidations, and so are
+  // degraded and non-ok results.
   void insert(const query& q, const query_result& r, bucket_set reads,
               std::uint64_t epoch) {
-    if (r.status != query_status::ok || r.degraded) return;
+    if (r.status != query_status::ok || r.route == query_route::degraded) {
+      return;
+    }
     if (r.list.size() > opt_.max_list_entries) return;
     auto e = std::make_shared<const cache_entry>(
         cache_entry{q.kind, q.u, q.v, epoch, std::move(reads), r});

@@ -547,6 +547,35 @@ TEST(ObsPipeline, QueryEngineReportsQueueWaitBreakdown) {
   EXPECT_GE(snap_total, 200u);
 }
 
+// Engine event counters are attached to the registry: live engines sum
+// under one name, and each engine's count folds into the registry when it
+// is destroyed, so the total survives both.
+TEST(ObsPipeline, EngineCountersSumAcrossEnginesAndSurviveDetach) {
+  auto& reg = gbbs::obs::registry::global();
+  const std::string name = "serve.query.unavailable";
+  const auto registry_count = [&] {
+    for (const auto& [n, v] : reg.read().counters) {
+      if (n == name) return v;
+    }
+    return std::uint64_t{0};
+  };
+  const std::uint64_t before = registry_count();
+  gbbs::serve::snapshot_store<empty_weight> store;  // nothing published
+  auto a = std::make_unique<gbbs::serve::query_engine<empty_weight>>(store, 1);
+  auto b = std::make_unique<gbbs::serve::query_engine<empty_weight>>(store, 1);
+  const gbbs::serve::query q{gbbs::serve::query_kind::degree, 0, 0};
+  a->submit(q).get();
+  b->submit(q).get();
+  b->submit(q).get();
+  EXPECT_EQ(a->unavailable(), 1u);
+  EXPECT_EQ(b->unavailable(), 2u);
+  EXPECT_EQ(registry_count(), before + 3);
+  a.reset();
+  EXPECT_EQ(registry_count(), before + 3);
+  b.reset();
+  EXPECT_EQ(registry_count(), before + 3);
+}
+
 // ---- flight recorder -------------------------------------------------------
 
 using gbbs::obs::event_type;

@@ -7,7 +7,8 @@
 //     cancelled computation observes the latch (flight-recorder-verified
 //     against a real steal, like test_obs's trace-id test);
 //   * the brownout ladder — depth-driven degrade/shed transitions under
-//     failpoint-forced slowness, point reads admitted throughout;
+//     failpoint-forced slowness, point reads admitted throughout, standing
+//     queries never degraded;
 //   * the query_status contract — every status reachable, every future
 //     resolved, including across stop();
 //   * the failpoint harness itself — spec grammar, deterministic
@@ -34,6 +35,7 @@
 #include "robust/failpoint.h"
 #include "serve/query.h"
 #include "serve/query_engine.h"
+#include "serve/result_cache.h"
 #include "serve/snapshot_manager.h"
 #include "serve/snapshot_store.h"
 
@@ -50,6 +52,7 @@ using gbbs::serve::query_engine;
 using gbbs::serve::query_kind;
 using gbbs::serve::query_priority;
 using gbbs::serve::query_result;
+using gbbs::serve::query_route;
 using gbbs::serve::query_status;
 using gbbs::serve::snapshot_manager;
 using gbbs::serve::snapshot_store;
@@ -487,7 +490,8 @@ TEST(QueryEngine, BrownoutLadderDegradesAndShedsKeepingPointReadsLive) {
     if (r.status == query_status::ok) {
       ++point_ok;
       EXPECT_EQ(r.value, 2u);
-      EXPECT_FALSE(r.degraded) << "point reads must stay fresh";
+      EXPECT_EQ(r.route, query_route::overlay)
+          << "point reads must stay fresh";
     }
   }
   EXPECT_GT(point_ok, 0u) << "every point read starved under brownout";
@@ -498,7 +502,9 @@ TEST(QueryEngine, BrownoutLadderDegradesAndShedsKeepingPointReadsLive) {
     if (r.status == query_status::rejected) ++an_rejected;
     if (r.status != query_status::ok) continue;
     ++an_ok;
-    if (r.degraded) {
+    EXPECT_TRUE(r.route == query_route::overlay ||
+                r.route == query_route::degraded);
+    if (r.route == query_route::degraded) {
       ++an_degraded;
       EXPECT_EQ(r.value, n - 1) << "degraded answer is wrong, not just stale";
       EXPECT_EQ(r.staleness, 0u)
@@ -525,6 +531,59 @@ TEST(QueryEngine, BrownoutLadderDegradesAndShedsKeepingPointReadsLive) {
   }
   EXPECT_TRUE(tagged);
   fp().reset();
+}
+
+// A standing query re-evaluated while the ladder sits at level >= 1 is
+// never degraded: it reads the fresh overlay and records its read-set
+// there, so a batch touching its path triggers it and it delivers the
+// fresh answer, not the published version's.
+TEST(QueryEngine, SubscriptionStaysFreshUnderBrownout) {
+  fp().reset();
+  const vertex_id n = 64;
+  snapshot_manager<empty_weight> mgr(n);
+  gbbs::serve::result_cache cache;
+  mgr.attach_cache(&cache);
+  mgr.ingest(inserts(path_edges_vec(n)));
+  mgr.publish();
+
+  gbbs::serve::query_engine_options opts;
+  opts.cache = &cache;
+  opts.brownout = true;
+  opts.brownout_depth_degrade = 1;  // one queued query raises level 1
+  opts.brownout_depth_shed_low = 1000;
+  opts.brownout_depth_shed_all = 1000;
+  query_engine<empty_weight> engine(mgr.store(), &mgr.overlay(),
+                                    /*num_readers=*/1, opts);
+
+  // Raise the ladder: with the only reader stalled 50ms per query, a
+  // later submit finds an earlier one still queued. The level only moves
+  // on submit (and steps down only after a 256-submit dwell), so it stays
+  // at level >= 1 from here on.
+  fp().configure("serve.exec.delay", failpoint_mode::always,
+                 /*probability=*/1.0, /*nth=*/0, /*arg_us=*/50000);
+  std::vector<std::future<query_result>> burst;
+  for (vertex_id u = 0; u < 4; ++u) {
+    burst.push_back(engine.submit({query_kind::degree, u, 0}));
+  }
+  for (auto& f : burst) EXPECT_EQ(f.get().status, query_status::ok);
+  fp().reset();
+  ASSERT_GE(engine.degrade_level(), 1);
+
+  auto sub = engine.subscribe({query_kind::bfs_distance, 0, n - 1});
+  ASSERT_NE(sub, nullptr);
+  query_result r;
+  ASSERT_TRUE(sub->wait(&r, 5.0));
+  EXPECT_EQ(r.value, n - 1);
+  EXPECT_EQ(r.route, query_route::overlay);
+
+  // A shortcut on the watched path, ingested but not published: only the
+  // overlay has it.
+  mgr.ingest(inserts({{0, n - 1, {}}}));
+  ASSERT_TRUE(sub->wait(&r, 5.0)) << "the subscription went deaf";
+  EXPECT_EQ(r.value, 1u) << "the re-evaluation served a stale answer";
+  EXPECT_EQ(r.route, query_route::overlay);
+  EXPECT_GE(engine.degrade_level(), 1);
+  EXPECT_EQ(engine.degraded_served(), 0u);
 }
 
 TEST(QueryEngine, SubmitSaturateFailpointRejectsEvenWhenQueueHasRoom) {

@@ -30,8 +30,10 @@
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "parlib/random.h"
+#include "robust/failpoint.h"
 #include "serve/query.h"
 #include "serve/query_engine.h"
+#include "serve/sharded_ingest.h"
 #include "serve/snapshot_manager.h"
 #include "serve/snapshot_store.h"
 
@@ -40,12 +42,15 @@ namespace {
 using gbbs::edge;
 using gbbs::empty_weight;
 using gbbs::vertex_id;
+using gbbs::serve::overlay_view;
 using gbbs::serve::pinned_snapshot;
 using gbbs::serve::query;
 using gbbs::serve::query_engine;
 using gbbs::serve::query_kind;
 using gbbs::serve::query_result;
+using gbbs::serve::query_route;
 using gbbs::serve::query_status;
+using gbbs::serve::sharded_snapshot_manager;
 using gbbs::serve::snapshot_manager;
 using gbbs::serve::snapshot_store;
 
@@ -261,7 +266,7 @@ TEST(OverlayView, PointReadsSeeUnpublishedIngest) {
   EXPECT_TRUE(idx->cc.connected(0, 2));
   EXPECT_FALSE(idx->cc.connected(0, 3));
 
-  auto fresh = execute_point_query(*idx, {query_kind::degree, 1, 0});
+  auto fresh = execute_fresh_query(idx, {query_kind::degree, 1, 0});
   EXPECT_EQ(fresh.value, 2u);
   EXPECT_GT(fresh.epoch, 0u);
 
@@ -569,11 +574,11 @@ TEST(Serve, ConsistencyUnderConcurrentIngest) {
   EXPECT_EQ(mgr.store().live_versions(), 1u);
 }
 
-// Adaptive stale-routing: repeat analytics on an unchanged (version,
-// epoch) switch to the published version's memoized merged CSR once the
-// run exceeds the threshold — with identical results, since routing only
-// happens when the published version covers the same updates.
-TEST(QueryEngine, StaleAutoRoutesRepeatAnalyticsLosslessly) {
+// Freshness of the default route: an unpublished shortcut edge is visible
+// to analytics right away, even after a run of identical queries against
+// the published version — the engine never answers from the published
+// merged CSR unless asked (q.stale) or browned out.
+TEST(QueryEngine, FreshAnalyticsSeeUnpublishedShortcut) {
   const vertex_id n = 10;
   snapshot_manager<empty_weight> mgr(n);
   std::vector<uw_edge> path;
@@ -581,38 +586,8 @@ TEST(QueryEngine, StaleAutoRoutesRepeatAnalyticsLosslessly) {
   mgr.ingest(inserts(path));
   mgr.publish();
 
-  gbbs::serve::query_engine_options opts;
-  opts.stale_auto = true;
-  opts.stale_auto_threshold = 3;
   query_engine<empty_weight> engine(mgr.store(), &mgr.overlay(),
-                                    /*num_readers=*/2, opts);
-  for (int i = 0; i < 20; ++i) {
-    auto r =
-        engine.submit({query_kind::bfs_distance, 0, n - 1, false}).get();
-    EXPECT_EQ(r.value, static_cast<std::uint64_t>(n - 1)) << i;
-  }
-  // The run of identical analytics on one unchanged version amortized the
-  // merge: later queries were routed to the memoized merged CSR.
-  EXPECT_GT(engine.stale_auto_routed(), 0u);
-}
-
-// Freshness is never silently lost: once ingest advances past the last
-// published version, the auto-router's lossless condition fails and
-// analytics keep seeing the *fresh* overlay (the unpublished shortcut
-// edge), threshold long exceeded or not.
-TEST(QueryEngine, StaleAutoNeverServesStaleResults) {
-  const vertex_id n = 10;
-  snapshot_manager<empty_weight> mgr(n);
-  std::vector<uw_edge> path;
-  for (vertex_id u = 0; u + 1 < n; ++u) path.push_back({u, u + 1, {}});
-  mgr.ingest(inserts(path));
-  mgr.publish();
-
-  gbbs::serve::query_engine_options opts;
-  opts.stale_auto = true;
-  opts.stale_auto_threshold = 2;
-  query_engine<empty_weight> engine(mgr.store(), &mgr.overlay(),
-                                    /*num_readers=*/2, opts);
+                                    /*num_readers=*/2);
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(
         engine.submit({query_kind::bfs_distance, 0, n - 1, false})
@@ -620,19 +595,146 @@ TEST(QueryEngine, StaleAutoNeverServesStaleResults) {
             .value,
         static_cast<std::uint64_t>(n - 1));
   }
-  EXPECT_GT(engine.stale_auto_routed(), 0u);
 
-  // Unpublished shortcut: fresh distance drops to 1; the published merged
-  // CSR still says n-1, so routing there would be visibly stale.
+  // Unpublished shortcut: fresh distance drops to 1; the published version
+  // still says n-1, so serving from it would be visibly stale.
   mgr.ingest(inserts({{0, n - 1, {}}}));
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(
-        engine.submit({query_kind::bfs_distance, 0, n - 1, false})
-            .get()
-            .value,
-        1u)
-        << "auto-routing served a stale result";
+    const auto r =
+        engine.submit({query_kind::bfs_distance, 0, n - 1, false}).get();
+    EXPECT_EQ(r.value, 1u) << "served a stale result";
+    EXPECT_EQ(r.route, query_route::overlay);
   }
+}
+
+// The routing table (query_engine.h header), one row at a time, straight
+// off select_view.
+TEST(SelectView, RouteTable) {
+  const vertex_id n = 16;
+  snapshot_manager<empty_weight> mgr(n);
+  std::vector<uw_edge> path;
+  for (vertex_id u = 0; u + 1 < n; ++u) path.push_back({u, u + 1, {}});
+  mgr.ingest(inserts(path));
+  mgr.publish();
+  mgr.ingest(inserts({{0, n - 1, {}}}));  // the published version lags by 1
+  const std::uint64_t published = mgr.pin().updates_ingested();
+  const std::uint64_t behind = mgr.updates_ingested() - published;
+  ASSERT_EQ(behind, 1u);
+
+  const query point{query_kind::degree, 0, 0};
+  const query bfs{query_kind::bfs_distance, 0, n - 1};
+  query stale_bfs = bfs;
+  stale_bfs.stale = true;
+  const overlay_view<empty_weight>* ov = &mgr.overlay();
+  const auto plan = [&](const query& q, const overlay_view<empty_weight>* f,
+                        int level, bool sub = false,
+                        std::uint64_t bound = 1) {
+    return select_view(q, f, mgr.store(), level, sub, bound);
+  };
+
+  // Overlay engine: point reads and analytics both read the overlay, at
+  // its epoch.
+  for (const query& q : {point, bfs}) {
+    auto p = plan(q, ov, 0);
+    ASSERT_TRUE(p);
+    EXPECT_EQ(p.route, query_route::overlay);
+    EXPECT_EQ(p.epoch, mgr.updates_ingested());
+    EXPECT_EQ(execute_plan(std::move(p), q, nullptr).route,
+              query_route::overlay);
+  }
+  EXPECT_EQ(execute_plan(plan(bfs, ov, 0), bfs, nullptr).value, 1u);
+
+  // q.stale, and no overlay wired: the published version.
+  const auto expect_pinned = [&](const query& q,
+                                 const overlay_view<empty_weight>* f) {
+    auto p = plan(q, f, 0);
+    ASSERT_TRUE(p);
+    EXPECT_EQ(p.route, query_route::pinned);
+    EXPECT_EQ(p.epoch, published);
+    const auto r = execute_plan(std::move(p), q, nullptr);
+    EXPECT_EQ(r.route, query_route::pinned);
+    EXPECT_EQ(r.value, n - 1u) << "pinned reads the published version";
+  };
+  expect_pinned(stale_bfs, ov);
+  expect_pinned(bfs, nullptr);
+
+  // Brownout level >= 1: analytics degrade while the published version is
+  // within the staleness bound; beyond it, and for point reads and
+  // standing-query re-evaluations, they stay on the overlay.
+  for (int level : {1, 3}) {
+    auto p = plan(bfs, ov, level, false, /*bound=*/behind);
+    ASSERT_TRUE(p);
+    EXPECT_EQ(p.route, query_route::degraded);
+    EXPECT_EQ(p.staleness, behind);
+    const auto r = execute_plan(std::move(p), bfs, nullptr);
+    EXPECT_EQ(r.route, query_route::degraded);
+    EXPECT_EQ(r.staleness, behind);
+    EXPECT_EQ(r.value, n - 1u);
+  }
+  EXPECT_EQ(plan(bfs, ov, 1, false, /*bound=*/behind - 1).route,
+            query_route::overlay);
+  EXPECT_EQ(plan(point, ov, 1).route, query_route::overlay);
+  EXPECT_EQ(plan(bfs, ov, 1, /*sub=*/true).route, query_route::overlay);
+  EXPECT_EQ(plan(stale_bfs, ov, 1).route, query_route::pinned);
+
+  // Nothing to pin: store.pin.fail resolves the pinned route unavailable.
+  auto& fp = gbbs::robust::registry::instance();
+  fp.configure("store.pin.fail", gbbs::robust::failpoint_mode::always);
+  EXPECT_FALSE(plan(bfs, nullptr, 0));
+  EXPECT_FALSE(plan(stale_bfs, ov, 0));
+  EXPECT_EQ(plan(bfs, ov, 1).route, query_route::overlay)
+      << "a failed degrade pin falls back to the overlay";
+  fp.reset();
+}
+
+TEST(SelectView, ShardedRouteTable) {
+  const vertex_id n = 16;
+  sharded_snapshot_manager<empty_weight> mgr(
+      n, {.num_shards = 2, .block_bits = 2});
+  std::vector<uw_update> raw;
+  for (vertex_id u = 0; u + 1 < n; ++u) {
+    raw.push_back({u, u + 1, {}, gbbs::dynamic::update_op::insert});
+  }
+  mgr.ingest(std::move(raw));
+  mgr.flush();
+  const auto router = mgr.router();
+
+  // Per-vertex point reads go to the owning shard's overlay.
+  for (vertex_id u : {vertex_id{0}, vertex_id{5}, vertex_id{n - 1}}) {
+    for (query_kind k : {query_kind::degree, query_kind::neighbors}) {
+      const query q{k, u, 0};
+      const auto* f = fresh_source<empty_weight>(q, nullptr, router);
+      EXPECT_EQ(f, &router.owner(u));
+      auto p = select_view(q, f, mgr.store(), 0, false, 0);
+      ASSERT_TRUE(p);
+      EXPECT_EQ(p.route, query_route::overlay);
+    }
+  }
+  const query deg5{query_kind::degree, 5, 0};
+  EXPECT_EQ(execute_plan(select_view(deg5, &router.owner(5), mgr.store(), 0,
+                                     false, 0),
+                         deg5, nullptr)
+                .value,
+            2u);
+
+  // connected (and analytics) need the composite barrier: the latest
+  // composite version, at its clock — under brownout too.
+  for (const query& q : {query{query_kind::connected, 0, n - 1},
+                         query{query_kind::bfs_distance, 0, n - 1}}) {
+    const auto* f = fresh_source<empty_weight>(q, nullptr, router);
+    EXPECT_EQ(f, nullptr);
+    auto p = select_view(q, f, mgr.store(), /*degrade_level=*/1, false, 0);
+    ASSERT_TRUE(p);
+    EXPECT_EQ(p.route, query_route::pinned);
+    ASSERT_NE(p.snap.composite(), nullptr);
+    EXPECT_EQ(p.epoch, mgr.composite_clock());
+  }
+  const query conn{query_kind::connected, 0, n - 1};
+  EXPECT_EQ(execute_plan(select_view<empty_weight>(conn, nullptr,
+                                                   mgr.store(), 0, false, 0),
+                         conn, nullptr)
+                .value,
+            1u);
 }
 
 }  // namespace

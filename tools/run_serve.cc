@@ -23,12 +23,6 @@
 //                     connectivity refinement) in the query mix
 //   -no-fresh         disable the overlay fresh path: every query executes
 //                     against pinned published versions only
-//   -stale-auto       adaptive stale-routing: after a few consecutive
-//                     analytics on an unchanged (version, epoch), route
-//                     further analytics to the published version's memoized
-//                     merged CSR (lossless — only when it covers the same
-//                     updates as the fresh overlay); q.stale stays a manual
-//                     override
 //   -slo-point <ms>       latency SLO for point reads (0 = off)
 //   -slo-analytics <ms>   latency SLO for traversal analytics (0 = off)
 //   -deadline-ms <t>  per-query deadline: expired-in-queue queries resolve
@@ -117,7 +111,6 @@ int main(int argc, char** argv) {
   double read_ratio = 0.5;
   bool heavy = false;
   bool fresh = true;
-  bool stale_auto = false;
   double slo_point_ms = 0;
   double slo_analytics_ms = 0;
   double deadline_ms = 0;
@@ -145,8 +138,6 @@ int main(int argc, char** argv) {
       heavy = true;
     } else if (!std::strcmp(argv[i], "-no-fresh")) {
       fresh = false;
-    } else if (!std::strcmp(argv[i], "-stale-auto")) {
-      stale_auto = true;
     } else if (!std::strcmp(argv[i], "-slo-point") && i + 1 < argc) {
       slo_point_ms = std::strtod(argv[++i], nullptr);
     } else if (!std::strcmp(argv[i], "-slo-analytics") && i + 1 < argc) {
@@ -255,10 +246,9 @@ int main(int argc, char** argv) {
 
   std::printf(
       "serve: n=%u, %zu streamed edges, batch=%zu, readers=%zu, "
-      "%zu queries/batch%s%s%s",
+      "%zu queries/batch%s%s",
       n, stream_edges.size(), batch_size, readers, queries_per_batch,
-      heavy ? " (heavy mix)" : "", fresh ? "" : " (no fresh path)",
-      stale_auto ? " (stale-auto)" : "");
+      heavy ? " (heavy mix)" : "", fresh ? "" : " (no fresh path)");
   if (shards > 0) std::printf(", %zu ingest shards", shards);
   std::printf("\n");
 
@@ -281,7 +271,6 @@ int main(int argc, char** argv) {
     gbbs::serve::query_engine_options opts;
     opts.slo_point_s = slo_point_ms / 1e3;
     opts.slo_analytics_s = slo_analytics_ms / 1e3;
-    opts.stale_auto = stale_auto;
     opts.max_queue = max_queue;
     opts.brownout = brownout;
     // Per-round cache: each round gets a fresh manager (fresh epoch
@@ -299,7 +288,7 @@ int main(int argc, char** argv) {
     std::array<gbbs::serve::query_engine<empty_weight>::kind_stats,
                gbbs::serve::kNumQueryKinds>
         kinds{};
-    std::uint64_t reader_forks = 0, auto_routed = 0;
+    std::uint64_t reader_forks = 0;
     std::uint64_t shed = 0, degraded = 0, transitions = 0;
     std::uint64_t retries_done = 0;
     auto& retry_ctr =
@@ -367,7 +356,6 @@ int main(int argc, char** argv) {
       });
       kinds = engine.latency_by_kind();
       reader_forks = engine.reader_forks();
-      auto_routed = engine.stale_auto_routed();
       shed = engine.shed();
       degraded = engine.degraded_served();
       transitions = engine.degrade_transitions();
@@ -427,10 +415,9 @@ int main(int argc, char** argv) {
     }
 
     // Scheduler participation: forks reader threads placed on their own
-    // deques (and how many analytics the adaptive policy routed stale).
-    std::printf("reader-deque forks %llu | stale-auto routes %llu\n",
-                static_cast<unsigned long long>(reader_forks),
-                static_cast<unsigned long long>(auto_routed));
+    // deques.
+    std::printf("reader-deque forks %llu\n",
+                static_cast<unsigned long long>(reader_forks));
 
     // How every submitted query resolved, plus the brownout/retry story.
     // `unavailable` nonzero means readers found nothing published to serve
