@@ -18,7 +18,6 @@
 #include "bench_common.h"
 #include "obs/flight_recorder.h"
 #include "parlib/atomics.h"
-#include "parlib/counters.h"
 #include "parlib/parallel.h"
 #include "parlib/random.h"
 #include "parlib/scheduler.h"

@@ -19,8 +19,8 @@
 
 #include "graph/bucketing.h"
 #include "graph/graph.h"
+#include "obs/registry.h"
 #include "parlib/atomics.h"
-#include "parlib/counters.h"
 #include "parlib/histogram.h"
 #include "parlib/parallel.h"
 #include "parlib/sequence_ops.h"
@@ -53,7 +53,7 @@ kcore_result kcore(const Graph& g,
   kcore_result res;
   res.coreness.assign(n, 0);
   vertex_id k = 0;
-  auto& ctr = parlib::event_counters::global();
+  const auto& ev = obs::events();
 
   while (true) {
     auto [bkt, ids] = buckets.next_bucket();
@@ -84,7 +84,7 @@ kcore_result kcore(const Graph& g,
       auto live_pairs = parlib::filter(pairs, [&](const auto& p) {
         return !finished[p.first];
       });
-      ctr.histogram_calls.fetch_add(1, std::memory_order_relaxed);
+      ev.histogram_calls.add();
       updates = parlib::histogram_filter<vertex_id, std::uint64_t>(
           live_pairs, [](std::uint64_t a, std::uint64_t b) { return a + b; },
           0,
@@ -115,7 +115,7 @@ kcore_result kcore(const Graph& g,
         parlib::fetch_and_add<std::uint64_t>(&edges_removed,
                                              g.out_degree(ids[i]));
       });
-      ctr.fetch_add_ops.fetch_add(edges_removed, std::memory_order_relaxed);
+      ev.fetch_add_ops.add(edges_removed);
       auto affected = parlib::pack_index<vertex_id>(touched);
       updates.resize(affected.size());
       parlib::parallel_for(0, affected.size(), [&](std::size_t i) {

@@ -28,8 +28,8 @@
 //               scan + gather. Writes O(live neighbors) slots instead of
 //               O(sum of degrees). Default sparse mode.
 //
-// The software counters referenced by bench_locality are updated once per
-// call (never per edge).
+// The registry's edgemap.* counters (obs::event_counts, read by
+// bench_locality) are updated once per call (never per edge).
 #pragma once
 
 #include <algorithm>
@@ -41,9 +41,9 @@
 #include "graph/graph.h"
 #include "graph/graph_view.h"
 #include "graph/vertex_subset.h"
+#include "obs/registry.h"
 #include "parlib/atomics.h"
 #include "parlib/cancellation.h"
-#include "parlib/counters.h"
 #include "parlib/parallel.h"
 #include "parlib/sequence_ops.h"
 
@@ -155,9 +155,9 @@ vertex_subset edge_map_sparse(const Graph& g, vertex_subset& frontier, F& f) {
                       ++k;
                     });
   });
-  auto& ctr = parlib::event_counters::global();
-  ctr.edgemap_edges_examined.fetch_add(total, std::memory_order_relaxed);
-  ctr.edgemap_slots_written.fetch_add(total, std::memory_order_relaxed);
+  const auto& ev = obs::events();
+  ev.edgemap_edges_examined.add(total);
+  ev.edgemap_slots_written.add(total);
   auto live = parlib::filter(out, [](vertex_id v) { return v != kNoVertex; });
   return vertex_subset(g.num_vertices(), std::move(live));
 }
@@ -228,9 +228,9 @@ vertex_subset edge_map_blocked(const Graph& g, vertex_subset& frontier,
               scratch.begin() + b * kEdgeMapBlock + live_counts[b],
               live.begin() + out_offsets[b]);
   });
-  auto& ctr = parlib::event_counters::global();
-  ctr.edgemap_edges_examined.fetch_add(total, std::memory_order_relaxed);
-  ctr.edgemap_slots_written.fetch_add(n_live, std::memory_order_relaxed);
+  const auto& ev = obs::events();
+  ev.edgemap_edges_examined.add(total);
+  ev.edgemap_slots_written.add(n_live);
   return vertex_subset(g.num_vertices(), std::move(live));
 }
 
@@ -293,9 +293,9 @@ vertex_subset_data<D> edge_map_data(const Graph& g, vertex_subset& frontier,
                         ++k;
                       });
     });
-    auto& ctr = parlib::event_counters::global();
-    ctr.edgemap_edges_examined.fetch_add(stotal, std::memory_order_relaxed);
-    ctr.edgemap_slots_written.fetch_add(stotal, std::memory_order_relaxed);
+    const auto& ev = obs::events();
+    ev.edgemap_edges_examined.add(stotal);
+    ev.edgemap_slots_written.add(stotal);
     auto live = parlib::map_maybe(slots, [](const std::optional<KV>& s) {
       return s;
     });
@@ -359,9 +359,9 @@ vertex_subset_data<D> edge_map_data(const Graph& g, vertex_subset& frontier,
               scratch.begin() + b * kBlock + live_counts[b],
               live.begin() + out_offsets[b]);
   });
-  auto& ctr = parlib::event_counters::global();
-  ctr.edgemap_edges_examined.fetch_add(total, std::memory_order_relaxed);
-  ctr.edgemap_slots_written.fetch_add(n_live, std::memory_order_relaxed);
+  const auto& ev = obs::events();
+  ev.edgemap_edges_examined.add(total);
+  ev.edgemap_slots_written.add(n_live);
   return vertex_subset_data<D>(g.num_vertices(), std::move(live));
 }
 

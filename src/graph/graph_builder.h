@@ -4,11 +4,14 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/graph_view.h"
 #include "parlib/integer_sort.h"
 #include "parlib/parallel.h"
 #include "parlib/sequence_ops.h"
@@ -184,6 +187,40 @@ graph<typename G::weight_type> filter_graph(const G& g, const F& pred) {
   // The filtered graph is generally not symmetric even if g was; we build it
   // as out-CSR-only and mark it symmetric so in_* calls alias out_*.
   // Callers (TC) only use out-neighborhoods.
+  return graph<W>(n, total, /*symmetric=*/true, std::move(offsets),
+                  std::move(nghs), std::move(wghs));
+}
+
+// Copy a symmetric graph_view into a fresh static CSR — O(n + m) work.
+// Rows are sized by out_degree and filled in map_out_neighbors order. The
+// serving layer builds a published version's merged CSR (base ⊕ overlay,
+// or all shards stitched) this way.
+template <graph_view G>
+graph<typename G::weight_type> materialize_csr(const G& g) {
+  using W = typename G::weight_type;
+  assert(g.symmetric());
+  const vertex_id n = g.num_vertices();
+  auto offsets = parlib::tabulate<edge_id>(
+      static_cast<std::size_t>(n) + 1, [&](std::size_t v) -> edge_id {
+        return v < n ? g.out_degree(static_cast<vertex_id>(v)) : 0;
+      });
+  const edge_id total = parlib::scan_inplace(offsets);
+  std::vector<vertex_id> nghs(total);
+  std::vector<W> wghs;
+  if constexpr (!std::is_same_v<W, empty_weight>) wghs.resize(total);
+  parlib::parallel_for(0, n, [&](std::size_t v) {
+    edge_id k = offsets[v];
+    g.map_out_neighbors(static_cast<vertex_id>(v),
+                        [&](vertex_id, vertex_id ngh, W w) {
+                          nghs[k] = ngh;
+                          if constexpr (!std::is_same_v<W, empty_weight>) {
+                            wghs[k] = w;
+                          }
+                          ++k;
+                          (void)w;
+                        });
+    assert(k == offsets[v + 1]);
+  });
   return graph<W>(n, total, /*symmetric=*/true, std::move(offsets),
                   std::move(nghs), std::move(wghs));
 }

@@ -11,16 +11,20 @@
 //     same name, so a snapshot taken after the component dies still
 //     carries its totals.
 //   * callbacks: bridges to external state read at snapshot time — the
-//     parlib event counters (read through their seqlock-consistent
-//     snapshot(), never field-by-field against a racing reset) and the
-//     scheduler's steal/occupancy/participation internals.
+//     scheduler's steal/occupancy/participation internals (parlib does
+//     not include obs, so it keeps its own monotone atomics).
+//
+// Every counter is monotone: nothing resets, and a reader that wants the
+// count of one operation takes a before/after delta. The process-wide
+// event counts no component owns (event_counts below) are named in one
+// place and exist from process start.
 //
 // read() produces a consistent point-in-time snapshot under the registry
 // mutex (metric *values* are still relaxed aggregates — consistent with
-// respect to registration, detach-merge, and event-counter resets, not
-// with respect to in-flight increments, which is the right trade for a
-// monitoring path). to_json() / to_prometheus() render a snapshot for the
-// -metrics-json file export and the live TCP endpoint respectively.
+// respect to registration and detach-merge, not with respect to
+// in-flight increments, which is the right trade for a monitoring path).
+// to_json() / to_prometheus() render a snapshot for the -metrics-json
+// file export and the live TCP endpoint respectively.
 #pragma once
 
 #include <algorithm>
@@ -35,7 +39,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "parlib/counters.h"
 #include "parlib/scheduler.h"
 
 namespace gbbs::obs {
@@ -61,6 +64,22 @@ struct metrics_snapshot {
   void add_section(std::string name, std::string raw_json) {
     sections.emplace_back(std::move(name), std::move(raw_json));
   }
+};
+
+// Process-wide event counts, owned by the global registry. The first four
+// are the software stand-ins for Table 6's hardware counters: slots
+// written and edges examined by the sparse edgeMap variants (edgeMapSparse
+// writes one slot per edge, edgeMapBlocked one per live neighbor), and the
+// contended k-core's fetch-and-adds vs the histogram variant's calls.
+// Callers add once per block or round, never per edge. The last counts
+// a published version's merged-CSR builds (snapshot_store.h); fresh
+// serving analytics must leave it untouched.
+struct event_counts {
+  counter& edgemap_slots_written;
+  counter& edgemap_edges_examined;
+  counter& fetch_add_ops;
+  counter& histogram_calls;
+  counter& merged_csr_materializations;
 };
 
 class registry {
@@ -99,16 +118,27 @@ class registry {
     std::uint64_t id_ = 0;
   };
 
-  // The process-wide registry, with the parlib runtime bridges installed
-  // (event counters + scheduler internals).
+  // The process-wide registry, with the scheduler bridge installed and
+  // the event counts created, so every name is exported from the start.
   static registry& global() {
     static registry* r = [] {
       auto* reg = new registry();
       install_runtime_bridge(*reg);
+      reg->events_.reset(new event_counts{
+          reg->get_counter("edgemap.slots_written"),
+          reg->get_counter("edgemap.edges_examined"),
+          reg->get_counter("parlib.fetch_add_ops"),
+          reg->get_counter("parlib.histogram_calls"),
+          reg->get_counter("serve.merged_csr_materializations")});
+      // Query engines attach their reader-fork counters under this name.
+      reg->get_counter("sched.reader_forks");
       return reg;
     }();
     return *r;
   }
+
+  // The event counts; only the global registry has them.
+  const event_counts& events() const { return *events_; }
 
   // Get-or-create; references are stable for the registry's lifetime.
   counter& get_counter(const std::string& name) {
@@ -312,26 +342,15 @@ class registry {
     return out;
   }
 
-  // The parlib runtime bridge: event counters through their consistent
-  // snapshot() (the reset torn-read fix — one seqlock-stable read for all
-  // fields instead of racing field-by-field), scheduler internals live.
+  // The parlib runtime bridge: scheduler internals, read live.
   static void install_runtime_bridge(registry& reg) {
     reg.add_callback([](metrics_snapshot& s) {
-      const auto ec = parlib::event_counters::global().snapshot();
-      s.add_counter("edgemap.slots_written", ec.edgemap_slots_written);
-      s.add_counter("edgemap.edges_examined", ec.edgemap_edges_examined);
-      s.add_counter("parlib.fetch_add_ops", ec.fetch_add_ops);
-      s.add_counter("parlib.histogram_calls", ec.histogram_calls);
-      s.add_counter("serve.merged_csr_materializations",
-                    ec.merged_csr_materializations);
-      s.add_counter("sched.external_registrations",
-                    ec.sched_external_registrations);
-      s.add_counter("sched.unregistered_pardos",
-                    ec.sched_unregistered_pardos);
-      s.add_counter("sched.reader_forks", ec.sched_reader_forks);
-      s.add_counter("sched.inline_fallbacks", ec.sched_inline_fallbacks);
       auto& sched = parlib::scheduler::instance();
       s.add_counter("sched.steals", sched.total_steals());
+      s.add_counter("sched.external_registrations",
+                    sched.external_registrations());
+      s.add_counter("sched.unregistered_pardos", sched.unregistered_pardos());
+      s.add_counter("sched.inline_fallbacks", sched.inline_fallbacks());
       s.add_gauge("sched.num_workers",
                   static_cast<std::int64_t>(sched.num_workers()));
       s.add_gauge("sched.active_workers",
@@ -349,6 +368,9 @@ class registry {
   std::vector<attached_counter> attached_counters_;
   std::vector<std::function<void(metrics_snapshot&)>> callbacks_;
   std::uint64_t next_attach_id_ = 1;
+  std::unique_ptr<const event_counts> events_;
 };
+
+inline const event_counts& events() { return registry::global().events(); }
 
 }  // namespace gbbs::obs

@@ -84,8 +84,7 @@ std::size_t scheduler::register_external_worker() {
                                                 std::memory_order_relaxed)) {
       }
       tls_worker_id = s;
-      event_counters::global().sched_external_registrations.fetch_add(
-          1, std::memory_order_relaxed);
+      external_registrations_.fetch_add(1, std::memory_order_relaxed);
       return s;
     }
   }

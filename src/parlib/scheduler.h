@@ -54,7 +54,6 @@
 #include <vector>
 
 #include "parlib/cancellation.h"
-#include "parlib/counters.h"
 #include "parlib/trace_hooks.h"
 
 namespace parlib {
@@ -224,7 +223,7 @@ class scheduler {
   // scheduler*, permanently. If that thread is short-lived (e.g. a pool
   // thread registering via worker_guard before main ever forks), slot 0
   // is orphaned when it exits and the real main thread stays unregistered
-  // (inline-sequential par_do; sched_unregistered_pardos counts it).
+  // (inline-sequential par_do; unregistered_pardos() counts it).
   // Long-lived host threads should touch instance() before spawning pools
   // — query_engine's constructor does this for the serving layer.
   std::size_t worker_id() const;
@@ -254,8 +253,7 @@ class scheduler {
     if (id == kNoWorker) {
       // Unknown thread: never touch a deque we don't own. Counted so the
       // serving layer can detect readers that forgot to register.
-      event_counters::global().sched_unregistered_pardos.fetch_add(
-          1, std::memory_order_relaxed);
+      unregistered_pardos_.fetch_add(1, std::memory_order_relaxed);
       left();
       right();
       return;
@@ -271,8 +269,7 @@ class scheduler {
     if (!deques_[id].push(&rjob)) {
       // Deque full: overflow fallback, run both inline. Counted so the
       // obs layer can surface workloads that fork deeper than the deque.
-      event_counters::global().sched_inline_fallbacks.fetch_add(
-          1, std::memory_order_relaxed);
+      inline_fallbacks_.fetch_add(1, std::memory_order_relaxed);
       trace::emit_sched_event(trace::sched_event::inline_fallback,
                               rjob.trace_id,
                               reinterpret_cast<std::uint64_t>(&rjob));
@@ -295,9 +292,24 @@ class scheduler {
     return slot < max_slots() ? deques_[slot].pushes() : 0;
   }
 
-  // Successful steals across all participants since startup.
+  // Participation counts since startup (monotone; exported by the obs
+  // registry as sched.*). Successful steals across all participants;
+  // register_external_worker() slot claims; par_dos that ran inline
+  // because the calling thread never registered (non-zero under serving
+  // load means a reader pool forgot its worker_guards); par_dos that ran
+  // inline because the owner's deque was full (non-zero sustained values
+  // mean a workload forks linearly).
   std::uint64_t total_steals() const {
     return steals_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t external_registrations() const {
+    return external_registrations_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t unregistered_pardos() const {
+    return unregistered_pardos_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t inline_fallbacks() const {
+    return inline_fallbacks_.load(std::memory_order_relaxed);
   }
 
   // Approximate pending jobs on one deque / across every ever-claimed
@@ -336,7 +348,11 @@ class scheduler {
   // Upper bound of ever-claimed slots — the victim-scan range. Monotone;
   // scanning a freed slot is harmless (its deque is empty).
   std::atomic<std::size_t> slot_limit_;
-  std::atomic<std::uint64_t> steals_{0};
+  // Own cache line: kept off active_workers_, which every par_do reads.
+  alignas(64) std::atomic<std::uint64_t> steals_{0};
+  std::atomic<std::uint64_t> external_registrations_{0};
+  std::atomic<std::uint64_t> unregistered_pardos_{0};
+  std::atomic<std::uint64_t> inline_fallbacks_{0};
   std::vector<std::thread> threads_;
 };
 

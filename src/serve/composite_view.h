@@ -24,7 +24,6 @@
 // overlay_snapshot outlives its writer.
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -34,9 +33,6 @@
 #include "dynamic/shard_partition.h"
 #include "graph/graph.h"
 #include "graph/graph_view.h"
-#include "parlib/counters.h"
-#include "parlib/parallel.h"
-#include "parlib/sequence_ops.h"
 #include "serve/component_view.h"
 #include "serve/overlay_view.h"
 
@@ -68,38 +64,6 @@ struct composite_snapshot {
   }
   bool contains_edge(vertex_id u, vertex_id v) const {
     return owner(u).contains_edge(u, v);
-  }
-
-  // Materialize the stitched merged CSR (all shards' rows, base ⊕ delta)
-  // as one fresh symmetric graph — O(n + m) work, for explicitly-stale
-  // analytics only (memoized per published version by the store).
-  gbbs::graph<W> materialize() const {
-    parlib::event_counters::global().merged_csr_materializations.fetch_add(
-        1, std::memory_order_relaxed);
-    auto degs = parlib::tabulate<edge_id>(n, [&](std::size_t v) {
-      return degree(static_cast<vertex_id>(v));
-    });
-    const edge_id total = parlib::scan_inplace(degs);
-    assert(total == m);
-    std::vector<edge_id> offsets(static_cast<std::size_t>(n) + 1);
-    parlib::parallel_for(0, n, [&](std::size_t v) { offsets[v] = degs[v]; });
-    offsets[n] = total;
-    std::vector<vertex_id> nghs(total);
-    std::vector<W> wghs;
-    if constexpr (!std::is_same_v<W, empty_weight>) wghs.resize(total);
-    parlib::parallel_for(0, n, [&](std::size_t vi) {
-      const auto v = static_cast<vertex_id>(vi);
-      edge_id k = offsets[vi];
-      owner(v).merge_row(v, [&](vertex_id ngh, W w) {
-        nghs[k] = ngh;
-        if constexpr (!std::is_same_v<W, empty_weight>) wghs[k] = w;
-        ++k;
-        (void)w;
-      });
-      assert(k == offsets[vi + 1]);
-    });
-    return gbbs::graph<W>(n, total, /*symmetric=*/true, std::move(offsets),
-                          std::move(nghs), std::move(wghs));
   }
 };
 

@@ -48,7 +48,6 @@
 
 #include "dynamic/dynamic_graph.h"
 #include "graph/graph.h"
-#include "parlib/counters.h"
 #include "serve/component_view.h"
 
 namespace gbbs::serve {
@@ -138,42 +137,6 @@ struct overlay_snapshot {
     if (u >= base.num_vertices()) return false;
     const auto nghs = base.out_neighbors(u);
     return std::binary_search(nghs.begin(), nghs.end(), v);
-  }
-
-  // Materialize the full merged CSR (base ⊕ overlay) as a fresh symmetric
-  // graph — O(n + m) work. The analytics hot path no longer pays this (it
-  // traverses the overlay-fused dynamic_view directly); it remains for
-  // explicitly-stale requests, memoized per published version so at most
-  // one such query per version pays it. Counted in
-  // parlib::event_counters::merged_csr_materializations (the test hook
-  // asserting fresh analytics never merge). Serving graphs are symmetric.
-  gbbs::graph<W> materialize() const {
-    assert(base.symmetric());
-    parlib::event_counters::global().merged_csr_materializations.fetch_add(
-        1, std::memory_order_relaxed);
-    auto degs = parlib::tabulate<edge_id>(n, [&](std::size_t v) {
-      return degree(static_cast<vertex_id>(v));
-    });
-    const edge_id total = parlib::scan_inplace(degs);
-    std::vector<edge_id> offsets(static_cast<std::size_t>(n) + 1);
-    parlib::parallel_for(0, n, [&](std::size_t v) { offsets[v] = degs[v]; });
-    offsets[n] = total;
-    std::vector<vertex_id> nghs(total);
-    std::vector<W> wghs;
-    if constexpr (!std::is_same_v<W, empty_weight>) wghs.resize(total);
-    parlib::parallel_for(0, n, [&](std::size_t vi) {
-      const auto v = static_cast<vertex_id>(vi);
-      edge_id k = offsets[vi];
-      merge_row(v, [&](vertex_id ngh, W w) {
-        nghs[k] = ngh;
-        if constexpr (!std::is_same_v<W, empty_weight>) wghs[k] = w;
-        ++k;
-        (void)w;
-      });
-      assert(k == offsets[vi + 1]);
-    });
-    return gbbs::graph<W>(n, total, /*symmetric=*/true, std::move(offsets),
-                          std::move(nghs), std::move(wghs));
   }
 
   // The live out-neighborhood of u, ascending (base merged with delta).

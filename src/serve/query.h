@@ -169,8 +169,8 @@ struct query_result {
   query_status status = query_status::ok;
   // How the answer was served (meaningful when status == ok). A degraded
   // answer also carries how many ingested updates the served version is
-  // behind the freshest index (bounded by the engine's
-  // degraded_staleness_bound).
+  // behind the freshest index (bounded by kDegradedStalenessBound,
+  // query_engine.h).
   query_route route = query_route::overlay;
   std::uint64_t staleness = 0;
 

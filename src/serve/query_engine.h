@@ -75,8 +75,8 @@
 // through deque 0 as unknown threads used to. N concurrent analytics
 // queries therefore fork from N distinct deques at full parallelism. The
 // engine measures where forks land (scheduler::push_count on the reader's
-// slot, flushed into parlib::event_counters::sched_reader_forks once per
-// query) so tests and benches can assert the registration is effective.
+// slot, added to the engine's sched.reader_forks counter once per query)
+// so tests and benches can assert the registration is effective.
 //
 // Result cache (options.cache — see result_cache.h). When wired, a
 // non-stale query first consults the cache ("serve.cache.lookup" span): a
@@ -126,7 +126,6 @@
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "parlib/cancellation.h"
-#include "parlib/counters.h"
 #include "parlib/scheduler.h"
 #include "parlib/trace_hooks.h"
 #include "robust/failpoint.h"
@@ -252,31 +251,21 @@ struct query_engine_options {
   double slo_analytics_s = 0;
 
   // Brownout controller (overload protection). When enabled, submit-side
-  // admission walks a degradation ladder driven by queue depth (and,
-  // optionally, the all-kind queue-wait p99):
+  // admission walks a degradation ladder driven by queue depth:
   //   level 0  normal
   //   level 1  degrade: analytics answered from the published memoized
   //            merged CSR with a bounded-staleness annotation
-  //            (result.route == degraded, result.staleness)
+  //            (result.route == degraded, result.staleness); beyond
+  //            kDegradedStalenessBound ingested updates behind the fresh
+  //            overlay the fresh path is used instead
   //   level 2  + shed low-priority analytics (status = rejected)
   //   level 3  + shed all analytics; point reads stay admitted until the
   //            queue is hard-full
-  // Depth rungs default to max_queue * {1/4, 1/2, 3/4}; stepping down
+  // The rungs are queue depths max_queue * {1/4, 1/2, 3/4}; stepping down
   // requires depth <= rung/2 (hysteresis, no flapping at a rung edge).
   // Transitions are counted, gauged (serve.degrade.level), and tagged in
-  // the flight recorder. Requires a bounded queue (or explicit rungs).
+  // the flight recorder. Requires max_queue >= 4 (every rung non-zero).
   bool brownout = false;
-  std::size_t brownout_depth_degrade = 0;   // 0 = max_queue / 4
-  std::size_t brownout_depth_shed_low = 0;  // 0 = max_queue / 2
-  std::size_t brownout_depth_shed_all = 0;  // 0 = 3 * max_queue / 4
-  // Escalate one extra rung while the all-kind queue-wait p99 exceeds
-  // this many seconds; 0 disables the latency input (depth-only ladder).
-  double brownout_queue_wait_p99_s = 0;
-  // Max ingested updates the published version may lag the fresh overlay
-  // for a degraded (level >= 1) analytics answer. Beyond the bound the
-  // fresh path is used even under brownout — degradation is lossy but
-  // never unboundedly stale.
-  std::uint64_t degraded_staleness_bound = 1ull << 16;
 
   // Result cache (result_cache.h): non-stale queries consult it before
   // executing and publish canonical results back into it; also the
@@ -286,6 +275,12 @@ struct query_engine_options {
   // engine. Null disables caching and standing queries.
   result_cache* cache = nullptr;
 };
+
+// Max ingested updates the published version may lag the fresh overlay
+// for a degraded (brownout level >= 1) analytics answer. Beyond it the
+// fresh path is used even under brownout — degradation is lossy but never
+// unboundedly stale.
+inline constexpr std::uint64_t kDegradedStalenessBound = 1ull << 16;
 
 // The pinned version's position on the cache's invalidation clock: the
 // composite batch-version clock for sharded versions, the ingested-update
@@ -481,20 +476,14 @@ class query_engine {
     attach("serve.query.unavailable", &unavailable_);
     attach("serve.query.degraded", &degraded_);
     attach("serve.degrade.transitions", &degrade_transitions_);
+    attach("sched.reader_forks", &reader_forks_);
     degrade_level_gauge_ = &reg.get_gauge("serve.degrade.level");
-    // Brownout rungs: explicit options win; otherwise derived from the
-    // queue bound. No bound and no rungs means no ladder to stand on.
-    bn_degrade_ = options_.brownout_depth_degrade != 0
-                      ? options_.brownout_depth_degrade
-                      : options_.max_queue / 4;
-    bn_shed_low_ = options_.brownout_depth_shed_low != 0
-                       ? options_.brownout_depth_shed_low
-                       : options_.max_queue / 2;
-    bn_shed_all_ = options_.brownout_depth_shed_all != 0
-                       ? options_.brownout_depth_shed_all
-                       : options_.max_queue - options_.max_queue / 4;
-    brownout_enabled_ = options_.brownout && bn_degrade_ != 0 &&
-                        bn_shed_low_ != 0 && bn_shed_all_ != 0;
+    // Brownout rungs derive from the queue bound; a bound too small to
+    // give every rung a non-zero depth leaves no ladder to stand on.
+    bn_degrade_ = options_.max_queue / 4;
+    bn_shed_low_ = options_.max_queue / 2;
+    bn_shed_all_ = options_.max_queue - options_.max_queue / 4;
+    brownout_enabled_ = options_.brownout && bn_degrade_ != 0;
     cache_ = options_.cache;
     if (cache_ != nullptr) {
       cache_hit_name_id_ = fr.intern("serve.cache.hit");
@@ -707,9 +696,7 @@ class query_engine {
   // executing queries (0 if readers could not register, e.g. slot-table
   // exhaustion, or if every query ran without forking). The per-reader-
   // deque evidence that concurrent queries don't funnel through deque 0.
-  std::uint64_t reader_forks() const {
-    return reader_forks_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t reader_forks() const { return reader_forks_.value(); }
 
   // ---- robustness observability -------------------------------------------
 
@@ -786,10 +773,8 @@ class query_engine {
   }
 
   // Walk the brownout ladder. Called from submit with mutex_ held (queue
-  // depth is exact). Depth picks the target rung; the all-kind queue-wait
-  // p99 (sampled every 64th submit — a histogram read is not free)
-  // escalates one extra rung while hot. Hysteresis: stepping down requires
-  // depth at or below half the rung that raised the level.
+  // depth is exact). Depth picks the target rung. Hysteresis: stepping
+  // down requires depth at or below half the rung that raised the level.
   void update_brownout_locked() {
     const std::size_t depth = queue_.size();
     int target = 0;
@@ -799,13 +784,6 @@ class query_engine {
       target = 2;
     } else if (depth >= bn_degrade_) {
       target = 1;
-    }
-    if (options_.brownout_queue_wait_p99_s > 0) {
-      if ((bn_ticks_ & 63u) == 0) {
-        bn_wait_hot_ = queue_wait_all_.read().p99_s >
-                       options_.brownout_queue_wait_p99_s;
-      }
-      if (bn_wait_hot_ && target < 3) ++target;
     }
     const int level = degrade_level_.load(std::memory_order_relaxed);
     ++bn_ticks_;
@@ -933,7 +911,6 @@ class query_engine {
           kind_idx < kNumQueryKinds ? kind_name_ids_[kind_idx] : 0;
       fr.emit(obs::event_type::span_begin, span_name_id);
       const auto dequeued = std::chrono::steady_clock::now();
-      // The engine-wide queue-wait sample feeds the brownout controller.
       queue_wait_all_.record_s(
           std::chrono::duration<double>(dequeued - it.submitted).count());
       // Set right before the query's algorithm runs: [dequeued,
@@ -988,7 +965,7 @@ class query_engine {
             it.q, fresh_source(it.q, overlay_, router_), store_,
             brownout_enabled_ ? degrade_level_.load(std::memory_order_relaxed)
                               : 0,
-            it.sub != nullptr, options_.degraded_staleness_bound);
+            it.sub != nullptr, kDegradedStalenessBound);
         exec_start = std::chrono::steady_clock::now();
         if (plan) {
           entry_epoch = plan.epoch;
@@ -1024,12 +1001,8 @@ class query_engine {
         const std::uint64_t forks =
             parlib::scheduler::instance().push_count(guard.slot()) -
             forks_before;
-        if (forks != 0) {
-          // One atomic add per query, not per fork (counters.h contract).
-          reader_forks_.fetch_add(forks, std::memory_order_relaxed);
-          parlib::event_counters::global().sched_reader_forks.fetch_add(
-              forks, std::memory_order_relaxed);
-        }
+        // One add per query, not per fork.
+        if (forks != 0) reader_forks_.add(forks);
       }
       const auto done = std::chrono::steady_clock::now();
       fr.emit(obs::event_type::span_end, span_name_id);
@@ -1103,7 +1076,7 @@ class query_engine {
   // folds totals) before they are destroyed.
   std::array<kind_metrics, kNumQueryKinds> kind_metrics_;
   obs::histogram view_select_;
-  // All-kind queue-wait samples: the brownout controller's latency input.
+  // All-kind queue-wait samples (serve.query.queue_wait.all).
   obs::histogram queue_wait_all_;
   // Interned flight-recorder names for the per-kind query spans.
   std::array<std::uint32_t, kNumQueryKinds> kind_name_ids_{};
@@ -1113,14 +1086,16 @@ class query_engine {
   std::uint32_t cache_hit_name_id_ = 0;
   std::uint32_t cache_miss_name_id_ = 0;
   std::array<std::atomic<std::uint64_t>, kNumQueryKinds> slo_violations_{};
-  // Robustness accounting, one counter per event (attached to the
-  // registry under serve.query.* / serve.degrade.transitions).
+  // Robustness and fork accounting, one counter per event (attached to
+  // the registry under serve.query.* / serve.degrade.transitions /
+  // sched.reader_forks).
   obs::counter timed_out_;
   obs::counter cancelled_;
   obs::counter shed_;
   obs::counter unavailable_;
   obs::counter degraded_;
   obs::counter degrade_transitions_;
+  obs::counter reader_forks_;
   std::vector<obs::registry::scoped_attach> registrations_;
 
   mutable std::mutex mutex_;
@@ -1133,8 +1108,6 @@ class query_engine {
   std::uint64_t dropped_ = 0;
   bool stopping_ = false;
 
-  std::atomic<std::uint64_t> reader_forks_{0};
-
   std::atomic<int> degrade_level_{0};  // written under mutex_, read lock-free
   obs::gauge* degrade_level_gauge_ = nullptr;
   bool brownout_enabled_ = false;
@@ -1143,7 +1116,6 @@ class query_engine {
   std::size_t bn_shed_all_ = 0;
   std::uint64_t bn_ticks_ = 0;        // under mutex_
   std::uint64_t bn_last_change_ = 0;  // under mutex_ (dwell anchor)
-  bool bn_wait_hot_ = false;          // under mutex_
   // Result cache + standing queries. subs_mutex_ guards the subscription
   // list and every subscription's trigger state; lock order is always
   // subs_mutex_ before mutex_ (on_delta holds it while enqueueing).

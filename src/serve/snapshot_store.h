@@ -60,8 +60,11 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/graph_builder.h"
+#include "obs/registry.h"
 #include "serve/component_view.h"
 #include "serve/composite_view.h"
+#include "serve/dynamic_view.h"
 #include "serve/overlay_view.h"
 
 namespace gbbs::serve {
@@ -87,14 +90,16 @@ struct version_payload {
   // The version's full merged CSR, materialized at most once (lazily) and
   // shared by all pins of this version. O(1) when the overlay is empty —
   // the base *is* the view. Composite versions stitch all shards' rows.
+  // Each build is counted in serve.merged_csr_materializations (fresh
+  // analytics traverse the overlay instead and never build one).
   const gbbs::graph<W>& view() const {
-    if (composite != nullptr) {
-      std::call_once(merged_once_,
-                     [&] { merged_ = composite->materialize(); });
-      return merged_;
-    }
-    if (overlay_empty()) return base;
-    std::call_once(merged_once_, [&] { merged_ = overlay->materialize(); });
+    if (composite == nullptr && overlay_empty()) return base;
+    std::call_once(merged_once_, [&] {
+      obs::events().merged_csr_materializations.add();
+      merged_ = composite != nullptr
+                    ? materialize_csr(composite_view<W>(composite))
+                    : materialize_csr(dynamic_view<W>(overlay));
+    });
     return merged_;
   }
 

@@ -6,7 +6,7 @@
 //     and across all edge_map modes (dense / blocked / plain sparse);
 //   * the acceptance check: query-engine analytics on a version with a
 //     non-empty overlay never materialize the merged CSR (asserted via
-//     parlib::event_counters::merged_csr_materializations), while
+//     the registry's serve.merged_csr_materializations count), while
 //     explicitly-stale queries do — exactly once per version;
 //   * the in-edge overlay: a directed live dynamic_graph's in-side
 //     (degrees, neighborhoods, and the dense edgeMap that scans them)
@@ -35,7 +35,7 @@
 #include "graph/edge_map.h"
 #include "graph/graph_builder.h"
 #include "graph/graph_view.h"
-#include "parlib/counters.h"
+#include "obs/registry.h"
 #include "parlib/random.h"
 #include "serve/dynamic_view.h"
 #include "serve/query.h"
@@ -164,7 +164,7 @@ void expect_view_matches_reference(const View& view,
 // ---- the randomized equivalence suite -------------------------------------
 
 TEST(DynamicViewEquivalence, MixedInsertEraseSchedules) {
-  auto& ctr = parlib::event_counters::global();
+  const auto& builds = gbbs::obs::events().merged_csr_materializations;
   for (std::uint64_t seed : {7u, 21u, 63u}) {
     const vertex_id n = 192;
     // Huge threshold: the overlay never auto-compacts, so every round
@@ -177,14 +177,14 @@ TEST(DynamicViewEquivalence, MixedInsertEraseSchedules) {
       ASSERT_NE(idx, nullptr);
       ASSERT_GT(idx->overlay_size(), 0u) << "overlay unexpectedly empty";
       const auto ref = mgr.live().snapshot();
-      const auto before = ctr.merged_csr_materializations.load();
+      const auto before = builds.value();
       // The serve-side view over the published overlay index...
       expect_view_matches_reference(
           gbbs::serve::dynamic_view<empty_weight>(idx), ref);
       // ...and the live dynamic graph itself, traversed uncompacted.
       expect_view_matches_reference(mgr.live(), ref);
       // None of the view-side traversals materialized the merged CSR.
-      EXPECT_EQ(ctr.merged_csr_materializations.load(), before);
+      EXPECT_EQ(builds.value(), before);
     }
   }
 }
@@ -204,8 +204,8 @@ TEST(DynamicViewEquivalence, EngineAnalyticsNeverMaterializeUnlessStale) {
   ASSERT_NE(snap.overlay(), nullptr) << "test needs a non-empty overlay";
 
   const auto live_ref = mgr.live().snapshot();
-  auto& ctr = parlib::event_counters::global();
-  const auto before = ctr.merged_csr_materializations.load();
+  const auto& builds = gbbs::obs::events().merged_csr_materializations;
+  const auto before = builds.value();
   {
     query_engine<empty_weight> engine(mgr.store(), &mgr.overlay(), 3);
     auto fb = engine.submit({query_kind::bfs_distance, 0, n / 2});
@@ -220,22 +220,22 @@ TEST(DynamicViewEquivalence, EngineAnalyticsNeverMaterializeUnlessStale) {
                   .size());
     engine.drain();
     // Fresh analytics on a non-empty overlay: zero merged-CSR builds.
-    EXPECT_EQ(ctr.merged_csr_materializations.load(), before);
+    EXPECT_EQ(builds.value(), before);
 
     // Pinned-version analytics (no overlay engine involved) also traverse
     // the version's overlay through a dynamic_view — still no merge.
     (void)execute_query(snap, {query_kind::triangles, 0, 0});
-    EXPECT_EQ(ctr.merged_csr_materializations.load(), before);
+    EXPECT_EQ(builds.value(), before);
 
     // An explicitly-stale query pays the merge — once per version.
     query stale_tri{query_kind::triangles, 0, 0};
     stale_tri.stale = true;
     auto fs1 = engine.submit(stale_tri);
     (void)fs1.get();
-    EXPECT_EQ(ctr.merged_csr_materializations.load(), before + 1);
+    EXPECT_EQ(builds.value(), before + 1);
     auto fs2 = engine.submit(stale_tri);  // memoized: no second build
     (void)fs2.get();
-    EXPECT_EQ(ctr.merged_csr_materializations.load(), before + 1);
+    EXPECT_EQ(builds.value(), before + 1);
   }
 }
 

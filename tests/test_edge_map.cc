@@ -11,6 +11,7 @@
 
 #include "graph/edge_map.h"
 #include "graph/generators.h"
+#include "obs/registry.h"
 #include "parlib/atomics.h"
 
 namespace {
@@ -156,19 +157,19 @@ TEST(EdgeMap, BlockedWritesFewerSlotsThanSparse) {
   for (vertex_id v = 0; v < g.num_vertices(); ++v) {
     visited[v] = (v % 8 != 0);
   }
-  auto& ctr = parlib::event_counters::global();
+  const auto& slots = gbbs::obs::events().edgemap_slots_written;
 
   std::vector<std::uint8_t> vis1 = visited;
   vertex_subset f1(g.num_vertices(), vertex_id{0});
-  ctr.reset();
+  std::uint64_t before = slots.value();
   gbbs::edge_map(g, f1, acquire_f{&vis1}, mode_options(1));
-  const auto sparse_writes = ctr.edgemap_slots_written.load();
+  const auto sparse_writes = slots.value() - before;
 
   std::vector<std::uint8_t> vis2 = visited;
   vertex_subset f2(g.num_vertices(), vertex_id{0});
-  ctr.reset();
+  before = slots.value();
   gbbs::edge_map(g, f2, acquire_f{&vis2}, mode_options(0));
-  const auto blocked_writes = ctr.edgemap_slots_written.load();
+  const auto blocked_writes = slots.value() - before;
 
   EXPECT_EQ(sparse_writes, g.out_degree(0));
   EXPECT_LE(blocked_writes, sparse_writes);

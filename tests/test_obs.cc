@@ -1,8 +1,8 @@
 // Tests for the observability layer: worker-sharded counters and
 // histograms (concurrent increment/snapshot correctness — runs in the
 // TSan CI job), histogram quantiles against the exact obs::percentile
-// reference, trace-span nesting, the seqlock-consistent event-counter
-// snapshot vs a racing reset (the pre-obs torn-read bug), the registry's
+// reference, trace-span nesting, the registry's process-wide event counts
+// (exported from the start, one add per edge_map call), the registry's
 // attach/detach-merge lifecycle, both render formats, and the live
 // metrics endpoint end-to-end over a real socket.
 #include <algorithm>
@@ -28,6 +28,8 @@
 #include <gtest/gtest.h>
 
 #include "dynamic/update_batch.h"
+#include "graph/edge_map.h"
+#include "graph/graph_builder.h"
 #include "obs/exemplar.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -36,7 +38,7 @@
 #include "obs/stats.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
-#include "parlib/counters.h"
+#include "parlib/atomics.h"
 #include "parlib/scheduler.h"
 #include "parlib/trace_hooks.h"
 #include "serve/query.h"
@@ -185,60 +187,6 @@ TEST(ObsHistogram, MergeFromFoldsContents) {
   EXPECT_NEAR(s.sum_s, 7000 / 1e9, 1e-12);
 }
 
-// ---- event counters: snapshot vs reset (the torn-read fix) -----------------
-
-TEST(ObsEventCounters, SnapshotNeverTornAcrossReset) {
-  auto& ec = parlib::event_counters::global();
-  ec.reset();
-  constexpr std::uint64_t kV = 424242;
-  auto set_all = [&] {
-    ec.edgemap_slots_written.store(kV, std::memory_order_relaxed);
-    ec.edgemap_edges_examined.store(kV, std::memory_order_relaxed);
-    ec.fetch_add_ops.store(kV, std::memory_order_relaxed);
-    ec.histogram_calls.store(kV, std::memory_order_relaxed);
-    ec.merged_csr_materializations.store(kV, std::memory_order_relaxed);
-    ec.sched_external_registrations.store(kV, std::memory_order_relaxed);
-    ec.sched_unregistered_pardos.store(kV, std::memory_order_relaxed);
-    ec.sched_reader_forks.store(kV, std::memory_order_relaxed);
-    ec.sched_inline_fallbacks.store(kV, std::memory_order_relaxed);
-  };
-  auto uniform = [](const parlib::event_counters_snapshot& s,
-                    std::uint64_t v) {
-    return s.edgemap_slots_written == v && s.edgemap_edges_examined == v &&
-           s.fetch_add_ops == v && s.histogram_calls == v &&
-           s.merged_csr_materializations == v &&
-           s.sched_external_registrations == v &&
-           s.sched_unregistered_pardos == v && s.sched_reader_forks == v &&
-           s.sched_inline_fallbacks == v;
-  };
-  // Repeat the race many times: fields at a known value, one thread
-  // resets while others snapshot. Every snapshot must be entirely
-  // pre-reset (all kV) or entirely post-reset (all 0) — a mix is the
-  // torn read the seqlock exists to prevent.
-  for (int round = 0; round < 200; ++round) {
-    set_all();
-    std::atomic<bool> go{false};
-    std::thread resetter([&] {
-      while (!go.load(std::memory_order_acquire)) {
-      }
-      ec.reset();
-    });
-    std::vector<parlib::event_counters_snapshot> seen(4);
-    std::vector<std::thread> readers;
-    for (auto& out : seen) {
-      readers.emplace_back([&, p = &out] { *p = ec.snapshot(); });
-    }
-    go.store(true, std::memory_order_release);
-    resetter.join();
-    for (auto& t : readers) t.join();
-    for (const auto& s : seen) {
-      EXPECT_TRUE(uniform(s, kV) || uniform(s, 0))
-          << "torn snapshot in round " << round;
-    }
-  }
-  ec.reset();
-}
-
 // ---- trace spans -----------------------------------------------------------
 
 TEST(ObsTrace, SpansNestAndRecord) {
@@ -335,6 +283,55 @@ TEST(ObsRegistry, RuntimeBridgeExportsSchedulerState) {
     }
   }
   EXPECT_TRUE(workers_gauge);
+}
+
+// The value of a counter in a global registry snapshot, or -1 if the
+// snapshot does not list it.
+std::int64_t global_counter(const std::string& name) {
+  for (const auto& [n, v] : gbbs::obs::registry::global().read().counters) {
+    if (n == name) return static_cast<std::int64_t>(v);
+  }
+  return -1;
+}
+
+// The process-wide event counts and the scheduler's participation counts
+// are listed from the start, and one edge_map call adds exactly the edges
+// it examined (the out-degree sum of a sparse round's frontier).
+TEST(ObsRegistry, EventCountsListedAndEdgeMapCountedOnce) {
+  for (const char* name :
+       {"edgemap.slots_written", "edgemap.edges_examined",
+        "parlib.fetch_add_ops", "parlib.histogram_calls",
+        "serve.merged_csr_materializations", "sched.external_registrations",
+        "sched.unregistered_pardos", "sched.reader_forks",
+        "sched.inline_fallbacks"}) {
+    EXPECT_GE(global_counter(name), 0) << name;
+  }
+  // A 6-vertex star plus one spoke-to-spoke edge: the hub has degree 5.
+  std::vector<gbbs::edge<empty_weight>> edges;
+  for (vertex_id v = 1; v < 6; ++v) edges.push_back({0, v, {}});
+  edges.push_back({1, 2, {}});
+  const auto g = gbbs::build_symmetric_graph<empty_weight>(6, edges);
+  struct visit_f {
+    std::vector<std::uint8_t>* visited;
+    bool update(vertex_id, vertex_id v, empty_weight) const {
+      return update_atomic(0, v, {});
+    }
+    bool update_atomic(vertex_id, vertex_id v, empty_weight) const {
+      return parlib::test_and_set(&(*visited)[v]);
+    }
+    bool cond(vertex_id v) const { return !(*visited)[v]; }
+  };
+  std::vector<std::uint8_t> visited(6, 0);
+  visited[0] = 1;
+  gbbs::vertex_subset frontier(6, vertex_id{0});
+  gbbs::edge_map_options sparse;
+  sparse.allow_dense = false;
+  const std::int64_t before = global_counter("edgemap.edges_examined");
+  const auto next =
+      gbbs::edge_map(g, frontier, visit_f{&visited}, sparse);
+  EXPECT_EQ(next.size(), 5u);
+  EXPECT_EQ(global_counter("edgemap.edges_examined"),
+            before + static_cast<std::int64_t>(g.out_degree(0)));
 }
 
 TEST(ObsRegistry, RendersJsonAndPrometheus) {
@@ -551,29 +548,45 @@ TEST(ObsPipeline, QueryEngineReportsQueueWaitBreakdown) {
 // under one name, and each engine's count folds into the registry when it
 // is destroyed, so the total survives both.
 TEST(ObsPipeline, EngineCountersSumAcrossEnginesAndSurviveDetach) {
-  auto& reg = gbbs::obs::registry::global();
-  const std::string name = "serve.query.unavailable";
-  const auto registry_count = [&] {
-    for (const auto& [n, v] : reg.read().counters) {
-      if (n == name) return v;
-    }
-    return std::uint64_t{0};
-  };
-  const std::uint64_t before = registry_count();
+  // Absent until the first engine detaches (-1): count that as 0.
+  const std::int64_t unavailable_before =
+      std::max<std::int64_t>(0, global_counter("serve.query.unavailable"));
+  const std::int64_t forks_before = global_counter("sched.reader_forks");
   gbbs::serve::snapshot_store<empty_weight> store;  // nothing published
-  auto a = std::make_unique<gbbs::serve::query_engine<empty_weight>>(store, 1);
-  auto b = std::make_unique<gbbs::serve::query_engine<empty_weight>>(store, 1);
+  using engine = gbbs::serve::query_engine<empty_weight>;
+  auto a = std::make_unique<engine>(store, 1);
+  auto b = std::make_unique<engine>(store, 1);
   const gbbs::serve::query q{gbbs::serve::query_kind::degree, 0, 0};
   a->submit(q).get();
   b->submit(q).get();
   b->submit(q).get();
   EXPECT_EQ(a->unavailable(), 1u);
   EXPECT_EQ(b->unavailable(), 2u);
-  EXPECT_EQ(registry_count(), before + 3);
+  // Publish a star: BFS from the hub has an (n-1)-vertex frontier, so
+  // each engine's reader forks onto its own deque.
+  const vertex_id n = 20000;
+  std::vector<gbbs::edge<empty_weight>> spokes;
+  for (vertex_id u = 1; u < n; ++u) spokes.push_back({0, u, {}});
+  store.publish(gbbs::build_symmetric_graph<empty_weight>(n, spokes),
+                std::vector<vertex_id>(n, 0));
+  const gbbs::serve::query bfs{gbbs::serve::query_kind::bfs_distance, 0,
+                               n - 1};
+  EXPECT_EQ(a->submit(bfs).get().value, 1u);
+  EXPECT_EQ(b->submit(bfs).get().value, 1u);
+  const auto forks = static_cast<std::int64_t>(a->reader_forks() +
+                                               b->reader_forks());
+  EXPECT_GT(a->reader_forks(), 0u);
+  EXPECT_GT(b->reader_forks(), 0u);
+  const auto expect_totals = [&] {
+    EXPECT_EQ(global_counter("serve.query.unavailable"),
+              unavailable_before + 3);
+    EXPECT_EQ(global_counter("sched.reader_forks"), forks_before + forks);
+  };
+  expect_totals();
   a.reset();
-  EXPECT_EQ(registry_count(), before + 3);
+  expect_totals();
   b.reset();
-  EXPECT_EQ(registry_count(), before + 3);
+  expect_totals();
 }
 
 // ---- flight recorder -------------------------------------------------------

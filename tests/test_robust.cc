@@ -549,16 +549,18 @@ TEST(QueryEngine, SubscriptionStaysFreshUnderBrownout) {
   gbbs::serve::query_engine_options opts;
   opts.cache = &cache;
   opts.brownout = true;
-  opts.brownout_depth_degrade = 1;  // one queued query raises level 1
-  opts.brownout_depth_shed_low = 1000;
-  opts.brownout_depth_shed_all = 1000;
+  // Rungs at depths 1/2/3: one queued query raises level 1. Point reads
+  // ride through every rung until the queue is hard-full at 4, and
+  // subscription re-evaluations bypass submit-side shedding.
+  opts.max_queue = 4;
   query_engine<empty_weight> engine(mgr.store(), &mgr.overlay(),
                                     /*num_readers=*/1, opts);
 
   // Raise the ladder: with the only reader stalled 50ms per query, a
-  // later submit finds an earlier one still queued. The level only moves
-  // on submit (and steps down only after a 256-submit dwell), so it stays
-  // at level >= 1 from here on.
+  // later submit finds an earlier one still queued (at most three are
+  // queued behind the stalled one, so none overflows). The level only
+  // moves on submit (and steps down only after a 256-submit dwell), so it
+  // stays at level >= 1 from here on.
   fp().configure("serve.exec.delay", failpoint_mode::always,
                  /*probability=*/1.0, /*nth=*/0, /*arg_us=*/50000);
   std::vector<std::future<query_result>> burst;

@@ -11,7 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "parlib/counters.h"
+#include "obs/registry.h"
 #include "parlib/parallel.h"
 #include "parlib/scheduler.h"
 #include "serve/query.h"
@@ -143,9 +143,11 @@ TEST(Scheduler, UnregisteredThreadHasSentinelIdAndRunsInline) {
   bool registered = true;
   std::uint64_t fallback_delta = 0;
   int sum = 0;
+  // Touch the scheduler here first, so the thread below is not bound as
+  // worker 0 when this test runs alone.
+  auto& sched = parlib::scheduler::instance();
   std::thread th([&] {
-    auto& c = parlib::event_counters::global().sched_unregistered_pardos;
-    const std::uint64_t before = c.load();
+    const std::uint64_t before = sched.unregistered_pardos();
     id = parlib::worker_id();
     slot = parlib::worker_slot();
     registered = parlib::scheduler::instance().is_registered();
@@ -153,7 +155,7 @@ TEST(Scheduler, UnregisteredThreadHasSentinelIdAndRunsInline) {
     // non-atomic accumulator is safe by contract.
     parlib::par_do([&] { sum += 1; }, [&] { sum += 2; });
     parlib::parallel_for(0, 100, [&](std::size_t) { sum += 1; });
-    fallback_delta = c.load() - before;
+    fallback_delta = sched.unregistered_pardos() - before;
   });
   th.join();
   EXPECT_EQ(id, parlib::scheduler::kNoWorker);
@@ -375,7 +377,7 @@ TEST(WorkDeque, PopIfLeavesOuterFramesJobInPlace) {
 
 // The serving-layer acceptance check: reader threads of a query_engine
 // register with the scheduler, so analytics-internal forks land on
-// per-reader deques — counted into parlib::event_counters — while deque 0
+// per-reader deques — counted into the engine's reader forks — while deque 0
 // (the idle main thread) sees none of them.
 TEST(Scheduler, QueryEngineReaderForksLandOnReaderDeques) {
   using gbbs::vertex_id;
@@ -393,11 +395,15 @@ TEST(Scheduler, QueryEngineReaderForksLandOnReaderDeques) {
   mgr.publish();
 
   auto& sched = parlib::scheduler::instance();
-  auto& counters = parlib::event_counters::global();
-  const std::uint64_t reader_forks_before =
-      counters.sched_reader_forks.load();
-  const std::uint64_t registrations_before =
-      counters.sched_external_registrations.load();
+  const auto registry_forks = [] {
+    for (const auto& [name, v] :
+         gbbs::obs::registry::global().read().counters) {
+      if (name == "sched.reader_forks") return v;
+    }
+    return std::uint64_t{0};
+  };
+  const std::uint64_t reader_forks_before = registry_forks();
+  const std::uint64_t registrations_before = sched.external_registrations();
   std::uint64_t deque0_before = 0;
   std::uint64_t engine_forks = 0;
   {
@@ -417,11 +423,10 @@ TEST(Scheduler, QueryEngineReaderForksLandOnReaderDeques) {
     engine_forks = engine.reader_forks();
     // At least the reader(s) that executed these queries registered
     // (asserting all 4 would race reader-thread startup).
-    EXPECT_GE(counters.sched_external_registrations.load(),
-              registrations_before + 1);
+    EXPECT_GE(sched.external_registrations(), registrations_before + 1);
   }
   EXPECT_GT(engine_forks, 0u);
-  EXPECT_GT(counters.sched_reader_forks.load(), reader_forks_before);
+  EXPECT_EQ(registry_forks(), reader_forks_before + engine_forks);
   EXPECT_EQ(sched.push_count(0), deque0_before);
 }
 
