@@ -7,8 +7,14 @@
 // Shapes to compare against the paper (not absolute numbers): BFS is the
 // cheapest problem; LDD costs about a BFS; connectivity a few times LDD;
 // biconnectivity ~3-5x connectivity; SCC between 1.6x faster and ~5x slower
-// than connectivity; TC is the most expensive; speedups are positive
-// everywhere and saturate near the host's core count.
+// than connectivity; speedups are positive everywhere and saturate
+// near the host's core count. TC is not the most expensive problem here:
+// with marking intersections it is the costliest at 1 worker only on the
+// largest R-MAT input and speeds up well, so at P workers k-core (which
+// gets no speedup on skewed inputs) costs more, and on the torus TC is
+// among the cheapest. The paper's ordering, with TC the most expensive,
+// comes from Hyperlink-scale graphs, where the m^{3/2} intersection work
+// dominates.
 #include <cstring>
 #include <string>
 

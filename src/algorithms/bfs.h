@@ -4,6 +4,7 @@
 // Tarjan-Vishkin biconnectivity implementation (Section 4).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -25,7 +26,12 @@ struct bfs_f {
   std::vector<std::uint32_t>* dist;
   std::uint32_t round;
 
-  bool cond(vertex_id v) const { return !(*visited)[v]; }
+  // Relaxed atomic read, since update_atomic's CAS may write the flag
+  // concurrently; a stale answer only costs one extra update attempt.
+  bool cond(vertex_id v) const {
+    return std::atomic_ref<std::uint8_t>((*visited)[v]).load(
+               std::memory_order_relaxed) == 0;
+  }
   bool update(vertex_id, vertex_id v, auto) const {
     if (!(*visited)[v]) {
       (*visited)[v] = 1;
@@ -45,7 +51,10 @@ struct bfs_f {
 
 struct bfs_tree_f {
   std::vector<vertex_id>* parent;
-  bool cond(vertex_id v) const { return (*parent)[v] == kNoVertex; }
+  bool cond(vertex_id v) const {
+    return std::atomic_ref<vertex_id>((*parent)[v]).load(
+               std::memory_order_relaxed) == kNoVertex;
+  }
   bool update(vertex_id u, vertex_id v, auto) const {
     if ((*parent)[v] == kNoVertex) {
       (*parent)[v] = u;
