@@ -6,7 +6,11 @@
 //   1. k-core with the work-efficient histogram vs the fetch-and-add
 //      baseline. Paper: histogram is 1.1-3.1x faster (3.5x on ClueWeb) and
 //      slashes memory stalls; here we report times plus the number of
-//      contended FA operations the baseline issues.
+//      histogram calls (only rounds peeling at least kKcoreSmallRoundEdges
+//      edges issue one; smaller rounds update degrees in a sequential
+//      dense pass, so a skewed graph's count is well below its rounds)
+//      and the number of contended FA operations the baseline issues
+//      (one per peeled edge, in every round).
 //   2. wBFS with edgeMapBlocked vs the unblocked sparse edgeMap. Paper:
 //      blocked reads/writes 2.1x fewer bytes and is ~1.7x faster; here we
 //      report times plus slots written per variant (the quantity that

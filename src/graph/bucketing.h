@@ -128,6 +128,14 @@ class buckets {
       return p.second != kNullBucket;
     });
     if (live.empty()) return;
+    // Small batches append directly; each slot receives its identifiers in
+    // input order, exactly as the stable counting sort below would.
+    if (live.size() <= parlib::kSeqBlockSize) {
+      for (const auto& [v, b] : live) {
+        bkts_[slot_of(static_cast<std::int64_t>(b))].push_back(v);
+      }
+      return;
+    }
     // Group by destination slot with a counting sort, then bulk-append.
     auto slotted = parlib::tabulate<std::pair<vertex_id, std::uint32_t>>(
         live.size(), [&](std::size_t i) {

@@ -2,11 +2,13 @@
 // deletion, window overflow and redistribution, both directions.
 #include <cstdint>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "graph/bucketing.h"
+#include "parlib/sequence_ops.h"
 
 namespace {
 
@@ -221,6 +223,43 @@ TEST(Bucketing, RoundsCounterTracksPops) {
   }
   EXPECT_EQ(pops, 3u);
   EXPECT_EQ(b.num_rounds(), 3u);
+}
+
+TEST(Bucketing, SmallAndLargeBatchesPopIdentically) {
+  // The same updates pushed as one batch above the direct-append cutoff
+  // (counting sort) and as a batch exactly at the cutoff plus one more
+  // (direct appends) must pop the same buckets in the same order. The
+  // destinations arrive scrambled and span the window and the overflow.
+  const std::size_t cut = parlib::kSeqBlockSize;
+  const vertex_id n = static_cast<vertex_id>(cut + 1);
+  std::vector<std::pair<vertex_id, bucket_id>> ups(n);
+  for (vertex_id i = 0; i < n; ++i) {
+    const vertex_id v = static_cast<vertex_id>((std::uint64_t{i} * 7919) % n);
+    ups[i] = {v, static_cast<bucket_id>((v * 37) % 300)};
+  }
+  auto pops = [&](bool split) {
+    std::vector<bucket_id> d(n, kNullBucket);
+    auto b = gbbs::make_buckets(
+        n, [&](vertex_id v) { return d[v]; }, bucket_order::increasing);
+    for (const auto& [v, bkt] : ups) d[v] = bkt;
+    if (split) {
+      b.update_buckets({ups.begin(), ups.begin() + cut});
+      b.update_buckets({ups.begin() + cut, ups.end()});
+    } else {
+      b.update_buckets(ups);
+    }
+    std::vector<std::pair<bucket_id, std::vector<vertex_id>>> out;
+    while (true) {
+      auto [bkt, ids] = b.next_bucket();
+      if (bkt == kNullBucket) break;
+      for (vertex_id v : ids) d[v] = kNullBucket;
+      out.emplace_back(bkt, std::move(ids));
+    }
+    return out;
+  };
+  const auto whole = pops(false);
+  EXPECT_EQ(whole.size(), 300u);
+  EXPECT_EQ(pops(true), whole);
 }
 
 }  // namespace
