@@ -1,7 +1,9 @@
 // Connectivity (Algorithm 6, Shun-Dhulipala-Blelloch): O(m) expected work,
 // O(log^3 n) depth w.h.p. on the TS-MT-RAM. Each level runs a low-diameter
 // decomposition, contracts the clustering, and recurses until the quotient
-// has no edges; labels are then mapped back down the recursion.
+// has no edges; labels are then mapped back down the recursion. Only
+// clusters with an inter-cluster edge recurse: an isolated cluster's label
+// is final at its level, so no later level scans it again.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +21,31 @@ namespace gbbs {
 
 namespace connectivity_internal {
 
+// The symmetric quotient `q` restricted to the ascending vertex list `keep`,
+// which holds every non-isolated vertex; keep[i] becomes vertex i. The
+// renumbering is monotone, so rows stay sorted. O(|keep| + m) work.
+inline graph<empty_weight> compact(const graph<empty_weight>& q,
+                                   const std::vector<vertex_id>& keep) {
+  std::vector<vertex_id> new_id(q.num_vertices(), kNoVertex);
+  parlib::parallel_for(0, keep.size(), [&](std::size_t i) {
+    new_id[keep[i]] = static_cast<vertex_id>(i);
+  });
+  auto offsets = parlib::tabulate<edge_id>(keep.size() + 1, [&](std::size_t i) {
+    return i < keep.size() ? edge_id{q.out_degree(keep[i])} : edge_id{0};
+  });
+  const edge_id m = parlib::scan_inplace(offsets);
+  std::vector<vertex_id> nghs(m);
+  parlib::parallel_for(0, keep.size(), [&](std::size_t i) {
+    const auto row = q.out_neighbors(keep[i]);
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      nghs[offsets[i] + j] = new_id[row[j]];
+    }
+  });
+  return graph<empty_weight>(static_cast<vertex_id>(keep.size()), m,
+                             /*symmetric=*/true, std::move(offsets),
+                             std::move(nghs), {});
+}
+
 template <typename Graph>
 std::vector<vertex_id> connectivity_rec(const Graph& g, double beta,
                                         parlib::random rng, int depth) {
@@ -29,17 +56,24 @@ std::vector<vertex_id> connectivity_rec(const Graph& g, double beta,
   auto level_labels = parlib::tabulate<vertex_id>(n, [&](std::size_t v) {
     return contracted.cluster_to_vertex[clusters[v]];
   });
-  if (contracted.quotient.num_edges() == 0) {
-    return level_labels;
-  }
+  const auto& q = contracted.quotient;
+  if (q.num_edges() == 0) return level_labels;
+  // Only clusters with an inter-cluster edge recurse. An isolated cluster
+  // keeps its quotient id as its label. Kept cluster i gets keep[L] for its
+  // label L one level down: a kept cluster's id, so never an isolated one's.
+  auto keep = parlib::filter(parlib::iota<vertex_id>(q.num_vertices()),
+                             [&](vertex_id c) { return q.out_degree(c) > 0; });
   // If a round failed to shrink the graph (possible on tiny inputs when all
   // shift draws land in the same unit interval), halve beta so the next
   // level's balls grow larger; this keeps the recursion finite without
   // affecting the expected bounds.
-  const double next_beta =
-      contracted.quotient.num_vertices() == n ? beta * 0.5 : beta;
-  auto quot_labels = connectivity_rec(contracted.quotient, next_beta,
-                                      rng.next(), depth + 1);
+  const double next_beta = q.num_vertices() == n ? beta * 0.5 : beta;
+  auto kept_labels =
+      connectivity_rec(compact(q, keep), next_beta, rng.next(), depth + 1);
+  auto quot_labels = parlib::iota<vertex_id>(q.num_vertices());
+  parlib::parallel_for(0, keep.size(), [&](std::size_t i) {
+    quot_labels[keep[i]] = keep[kept_labels[i]];
+  });
   return parlib::tabulate<vertex_id>(n, [&](std::size_t v) {
     return quot_labels[level_labels[v]];
   });

@@ -41,6 +41,23 @@ inline std::uint64_t edge_priority(const indexed_edge& e, std::uint32_t idx) {
 inline constexpr std::uint64_t kNoPriority =
     std::numeric_limits<std::uint64_t>::max();
 
+// The edges satisfying `keep` whose endpoints lie in different components,
+// relabeled to their component ids. The filter is stable, so positions (the
+// priority tie-break) keep the original edge order.
+template <typename F>
+std::vector<indexed_edge> shortcut(const std::vector<indexed_edge>& edges,
+                                   const std::vector<vertex_id>& parents,
+                                   const F& keep) {
+  auto out = parlib::filter(edges, [&](const indexed_edge& e) {
+    return keep(e) && parents[e.u] != parents[e.v];
+  });
+  parlib::parallel_for(0, out.size(), [&](std::size_t i) {
+    out[i].u = parents[out[i].u];
+    out[i].v = parents[out[i].v];
+  });
+  return out;
+}
+
 // One Boruvka solve over `edges` whose endpoints are component ids in the
 // global `parents` array (updated in place); appends chosen original edge
 // ids to `forest`.
@@ -84,24 +101,22 @@ inline void boruvka(std::vector<vertex_id>& parents,
     parlib::parallel_for(0, won_ids.size(), [&](std::size_t i) {
       forest[old_size + i] = won_ids[i];
     });
-    // Pointer-jump every touched vertex to its root.
+    // Pointer-jump every touched vertex to its root. Jumps read parents that
+    // other jumps rewrite (to an ancestor either way), hence atomic accesses.
     parlib::parallel_for(0, n, [&](std::size_t v) {
       vertex_id root = static_cast<vertex_id>(v);
-      while (parents[root] != root) root = parents[root];
-      parents[v] = root;
+      while (parlib::atomic_load(&parents[root]) != root) {
+        root = parlib::atomic_load(&parents[root]);
+      }
+      parlib::atomic_store(&parents[v], root);
     });
-    // Reset winners and relabel/filter the surviving edges.
+    // Reset winners (edges sharing an endpoint store the same value
+    // concurrently) and relabel/filter the surviving edges.
     parlib::parallel_for(0, edges.size(), [&](std::size_t i) {
-      best[edges[i].u] = kNoPriority;
-      best[edges[i].v] = kNoPriority;
+      parlib::atomic_store(&best[edges[i].u], kNoPriority);
+      parlib::atomic_store(&best[edges[i].v], kNoPriority);
     });
-    std::vector<indexed_edge> next;
-    next.reserve(edges.size());
-    for (auto& e : edges) {
-      const vertex_id ru = parents[e.u], rv = parents[e.v];
-      if (ru != rv) next.push_back({ru, rv, e.w, e.id});
-    }
-    edges.swap(next);
+    edges = shortcut(edges, parents, [](const indexed_edge&) { return true; });
   }
 }
 
@@ -150,14 +165,9 @@ msf_result msf(const Graph& g, bool use_filtering = true,
       if (light.empty() || light.size() == edges.size()) break;
       msf_internal::boruvka(parents, std::move(light), forest);
       // Pack out: heavy edges whose endpoints merged are shortcut.
-      auto survivors = parlib::filter(edges, [&](const auto& e) {
-        return e.w > pivot && parents[e.u] != parents[e.v];
-      });
-      parlib::parallel_for(0, survivors.size(), [&](std::size_t i) {
-        survivors[i].u = parents[survivors[i].u];
-        survivors[i].v = parents[survivors[i].v];
-      });
-      edges.swap(survivors);
+      edges = msf_internal::shortcut(
+          edges, parents,
+          [&](const msf_internal::indexed_edge& e) { return e.w > pivot; });
     }
   }
   msf_internal::boruvka(parents, std::move(edges), forest);

@@ -2,27 +2,29 @@
 // O(m log n) expected work, O(diam(G) log n) depth w.h.p. on the PW-MT-RAM.
 //
 // Vertices are randomly permuted and processed in exponentially growing
-// batches of centers. Each phase runs simultaneous forward and backward
-// BFS from the phase's centers, restricted to each center's current
-// subproblem; the reachability sets are (vertex, center) pairs stored in the
-// probe-clustered hash multimap of Section 5 ("Techniques for overlapping
-// searches"). Vertices visited by a center in both directions form that
-// center's SCC (done, labeled by the minimum such center); vertices visited
-// in exactly one direction refine their subproblem to the minimum visiting
-// center. Table-capacity bounds are recomputed with a parallel reduce
-// before each BFS round, exactly as the paper describes.
+// batches of centers. Each phase searches forward and backward from its
+// centers within each center's subproblem, storing (vertex, center) pairs in
+// the probe-clustered hash multimap of Section 5 ("Techniques for
+// overlapping searches"). Vertices a center reaches both ways form its SCC
+// (labeled by the minimum such center); vertices reached one way refine
+// their subproblem to the minimum visiting center. Every search round is
+// one edge_map, so a sparse round costs O(frontier + its edges), not O(n);
+// backward rounds run over transposed_view(g), which follows in-edges.
 //
 // Optimizations from Section 4: iterative trimming of zero in/out-degree
-// vertices, and a bit-vector single-pivot first phase that peels the giant
-// SCC before any hash table is allocated.
+// vertices, and a single-pivot first phase (one forward and one backward
+// reach with visited flags) that peels the giant SCC before any hash table
+// is allocated.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <limits>
 #include <utility>
 #include <vector>
 
+#include "graph/edge_map.h"
 #include "graph/graph.h"
+#include "graph/graph_view.h"
 #include "graph/vertex_subset.h"
 #include "parlib/atomics.h"
 #include "parlib/hash_table.h"
@@ -35,7 +37,7 @@ namespace gbbs {
 struct scc_options {
   double beta = 2.0;        // batch growth rate
   bool trim = true;         // iterative zero-degree trimming
-  bool single_pivot = true; // bit-vector first phase
+  bool single_pivot = true; // one-pivot reach as the first phase
   std::size_t max_trim_rounds = 8;
   parlib::random rng = parlib::random(0x5cc);
 };
@@ -44,42 +46,87 @@ namespace scc_internal {
 
 inline constexpr vertex_id kUnlabeled = kNoVertex;
 
-// One direction of the multi-search: BFS from `centers` over `g` (forward:
-// out-edges; backward: in-edges), visiting only vertices whose current
-// subproblem label equals the center's snapshot label, writing (v, c) pairs.
-template <typename Graph, bool Forward>
+// Single-pivot reach: acquires live, unvisited vertices.
+struct reach_f {
+  std::uint8_t* vis;
+  const std::uint8_t* done;
+
+  // Relaxed read: update_atomic's CAS may write the flag concurrently.
+  bool cond(vertex_id v) const {
+    return !done[v] && std::atomic_ref<std::uint8_t>(vis[v]).load(
+                           std::memory_order_relaxed) == 0;
+  }
+  bool update(vertex_id, vertex_id v, auto) const {
+    vis[v] = 1;
+    return true;
+  }
+  bool update_atomic(vertex_id, vertex_id v, auto) const {
+    return parlib::test_and_set(&vis[v]);
+  }
+};
+
+// One multi-search round: u hands each of its centers c to a live v in c's
+// subproblem; v joins the next frontier once (`queued`) if it gained one.
+// The table is concurrent, so dense and sparse rounds share the update.
+struct multi_search_f {
+  parlib::reachability_table* table;
+  const vertex_id* labels;
+  const vertex_id* center_sub;  // subproblem label per center index
+  const std::uint8_t* done;
+  std::uint8_t* queued;
+  std::uint64_t* added;  // insertions per worker slot
+
+  bool cond(vertex_id v) const { return !done[v]; }
+  bool update(vertex_id u, vertex_id v, auto) const {
+    bool any = false;
+    table->for_each_label(u, [&](vertex_id ci) {
+      if (labels[v] == center_sub[ci] && !table->contains(v, ci) &&
+          table->insert(v, ci)) {
+        ++added[parlib::worker_slot()];
+        any = true;
+      }
+    });
+    return any && parlib::test_and_set(&queued[v]);
+  }
+  bool update_atomic(vertex_id u, vertex_id v, auto w) const {
+    return update(u, v, w);
+  }
+};
+
+// One direction of the multi-search from `centers` over `g` (a
+// transposed_view for the backward direction), restricted to each center's
+// subproblem label; returns the (v, center index) pairs.
+template <typename View>
 parlib::reachability_table multi_search(
-    const Graph& g, const std::vector<vertex_id>& centers,
+    const View& g, const std::vector<vertex_id>& centers,
     const std::vector<vertex_id>& labels, const std::vector<std::uint8_t>& done) {
   const vertex_id n = g.num_vertices();
   // Center c searches within subproblem labels[c]; snapshot them.
-  std::vector<vertex_id> center_sub(centers.size());
-  parlib::parallel_for(0, centers.size(), [&](std::size_t i) {
-    center_sub[i] = labels[centers[i]];
-  });
+  const auto center_sub =
+      parlib::map(centers, [&](vertex_id c) { return labels[c]; });
   // Initial capacity: centers + slack; grows geometrically via rebuild.
   parlib::reachability_table table(std::max<std::size_t>(
       256, centers.size() * 4));
-  std::vector<std::uint8_t> on_frontier(n, 0);
-  std::vector<vertex_id> frontier(centers.size());
-  std::size_t table_count = 0;
   parlib::parallel_for(0, centers.size(), [&](std::size_t i) {
     table.insert(centers[i], static_cast<vertex_id>(i));
-    frontier[i] = centers[i];
-    on_frontier[centers[i]] = 1;
   });
-  table_count = centers.size();
-
+  std::vector<std::uint8_t> queued(n, 0);
+  // Insertions per worker *slot*, so external workers (and the shared
+  // unregistered slot) stay in bounds without a contended global counter.
+  std::vector<std::uint64_t> added(parlib::max_worker_slots(), 0);
+  vertex_subset frontier(n, std::vector<vertex_id>(centers));
   while (!frontier.empty()) {
     // Upper-bound this round's insertions: sum over u in frontier of
     // (#labels of u) * degree(u), then grow the table if needed (Section 5).
-    auto bounds = parlib::map(frontier, [&](vertex_id u) {
-      const std::uint64_t deg = Forward ? g.out_degree(u) : g.in_degree(u);
-      return static_cast<std::uint64_t>(table.count_labels(u)) * deg;
+    frontier.to_sparse();
+    auto bounds = parlib::map(frontier.sparse(), [&](vertex_id u) {
+      return static_cast<std::uint64_t>(table.count_labels(u)) *
+             g.out_degree(u);
     });
-    const std::uint64_t bound = parlib::reduce_add(bounds);
-    if ((table_count + bound) * 2 > table.capacity()) {
-      parlib::reachability_table bigger((table_count + bound) * 2);
+    const std::uint64_t need = 2 * (centers.size() + parlib::reduce_add(added) +
+                                    parlib::reduce_add(bounds));
+    if (need > table.capacity()) {
+      parlib::reachability_table bigger(need);
       auto entries = table.entries();
       parlib::parallel_for(0, entries.size(), [&](std::size_t i) {
         bigger.insert(static_cast<vertex_id>(entries[i] >> 32),
@@ -87,40 +134,11 @@ parlib::reachability_table multi_search(
       });
       table = std::move(bigger);
     }
-    parlib::parallel_for(0, frontier.size(),
-                         [&](std::size_t i) { on_frontier[frontier[i]] = 0; });
-    // Per-worker insertion counts avoid a contended global counter. Sized
-    // and indexed by worker *slot* so external workers (and the shared
-    // unregistered slot) stay in bounds.
-    std::vector<std::uint64_t> added(parlib::max_worker_slots(), 0);
-    std::vector<std::uint8_t> next_flag(n, 0);
-    parlib::parallel_for(
-        0, frontier.size(),
-        [&](std::size_t i) {
-          const vertex_id u = frontier[i];
-          auto visit = [&](vertex_id, vertex_id v, auto) {
-            if (done[v]) return;
-            bool any = false;
-            table.for_each_label(u, [&](vertex_id ci) {
-              if (labels[v] != center_sub[ci]) return;
-              if (!table.contains(v, ci)) {
-                if (table.insert(v, ci)) {
-                  ++added[parlib::worker_slot()];
-                  any = true;
-                }
-              }
-            });
-            if (any && !next_flag[v]) parlib::test_and_set(&next_flag[v]);
-          };
-          if constexpr (Forward) {
-            g.map_out_neighbors(u, visit, /*par=*/false);
-          } else {
-            g.map_in_neighbors(u, visit, /*par=*/false);
-          }
-        },
-        1);
-    table_count += parlib::reduce_add(added);
-    frontier = parlib::pack_index<vertex_id>(next_flag);
+    frontier = edge_map(
+        g, frontier,
+        multi_search_f{&table, labels.data(), center_sub.data(), done.data(),
+                       queued.data(), added.data()});
+    frontier.for_each([&](vertex_id v) { queued[v] = 0; });
   }
   return table;
 }
@@ -144,25 +162,23 @@ scc_result scc(const Graph& g, scc_options opts = {}) {
   std::vector<vertex_id> scc_label(n, scc_internal::kUnlabeled);
   vertex_id next_singleton_label = n;  // trimmed vertices get fresh labels
 
-  // --- Trimming: vertices with zero in- or out-degree among live vertices
-  // form singleton SCCs.
+  const transposed_view<Graph> gt(g);  // backward searches follow in-edges
+
+  // --- Trimming: vertices with no live out- or in-neighbor form singleton
+  // SCCs.
   if (opts.trim) {
+    auto has_live = [&](const auto& view, vertex_id v) {
+      bool live = false;
+      view.map_out_neighbors_early_exit(v, [&](vertex_id, vertex_id u, auto) {
+        live = !done[u];
+        return !live;
+      });
+      return live;
+    };
     for (std::size_t round = 0; round < opts.max_trim_rounds; ++round) {
       auto trivially_done = parlib::filter(
           parlib::iota<vertex_id>(n), [&](vertex_id v) {
-            if (done[v]) return false;
-            const auto live_out = g.count_out(
-                v, [&](vertex_id, vertex_id u, auto) { return !done[u]; });
-            if (live_out == 0) return true;
-            std::size_t live_in = 0;
-            g.map_in_neighbors_early_exit(v, [&](vertex_id, vertex_id u, auto) {
-              if (!done[u]) {
-                ++live_in;
-                return false;  // one is enough
-              }
-              return true;
-            });
-            return live_in == 0;
+            return !done[v] && !(has_live(g, v) && has_live(gt, v));
           });
       if (trivially_done.empty()) break;
       parlib::parallel_for(0, trivially_done.size(), [&](std::size_t i) {
@@ -176,37 +192,25 @@ scc_result scc(const Graph& g, scc_options opts = {}) {
 
   const auto perm = parlib::random_permutation(n, opts.rng);
 
-  // --- Single-pivot first phase: plain BFS bit-vectors from the first
+  // --- Single-pivot first phase: forward and backward reach from the first
   // not-done vertex in permutation order (finds the giant SCC cheaply).
   std::size_t perm_pos = 0;
   if (opts.single_pivot) {
     while (perm_pos < n && done[perm[perm_pos]]) ++perm_pos;
     if (perm_pos < n) {
       const vertex_id pivot = perm[perm_pos];
-      auto reach = [&](bool forward) {
+      auto reach = [&](const auto& view) {
         std::vector<std::uint8_t> vis(n, 0);
         vis[pivot] = 1;
-        std::vector<vertex_id> frontier{pivot};
+        vertex_subset frontier(n, pivot);
         while (!frontier.empty()) {
-          std::vector<std::uint8_t> next(n, 0);
-          parlib::parallel_for(0, frontier.size(), [&](std::size_t i) {
-            auto visit = [&](vertex_id, vertex_id v, auto) {
-              if (!done[v] && !vis[v] && parlib::test_and_set(&vis[v])) {
-                next[v] = 1;
-              }
-            };
-            if (forward) {
-              g.map_out_neighbors(frontier[i], visit, false);
-            } else {
-              g.map_in_neighbors(frontier[i], visit, false);
-            }
-          });
-          frontier = parlib::pack_index<vertex_id>(next);
+          frontier = edge_map(view, frontier,
+                              scc_internal::reach_f{vis.data(), done.data()});
         }
         return vis;
       };
-      auto fwd = reach(true);
-      auto bwd = reach(false);
+      auto fwd = reach(g);
+      auto bwd = reach(gt);
       parlib::parallel_for(0, n, [&](std::size_t v) {
         if (done[v]) return;
         if (fwd[v] && bwd[v]) {
@@ -238,10 +242,8 @@ scc_result scc(const Graph& g, scc_options opts = {}) {
     if (centers.empty()) continue;
     ++res.num_phases;
 
-    auto fwd = scc_internal::multi_search<Graph, true>(g, centers, labels,
-                                                       done);
-    auto bwd = scc_internal::multi_search<Graph, false>(g, centers, labels,
-                                                        done);
+    auto fwd = scc_internal::multi_search(g, centers, labels, done);
+    auto bwd = scc_internal::multi_search(gt, centers, labels, done);
 
     // Classify visited vertices. Center indices are per-phase; priority is
     // the index within `centers` (respecting permutation order).
@@ -252,11 +254,7 @@ scc_result scc(const Graph& g, scc_options opts = {}) {
     parlib::parallel_for(0, fwd_entries.size(), [&](std::size_t i) {
       const auto v = static_cast<vertex_id>(fwd_entries[i] >> 32);
       const auto ci = static_cast<vertex_id>(fwd_entries[i] & 0xFFFFFFFFu);
-      if (bwd.contains(v, ci)) {
-        parlib::write_min(&both_min[v], ci);
-      } else {
-        parlib::write_min(&xor_min[v], ci);
-      }
+      parlib::write_min(bwd.contains(v, ci) ? &both_min[v] : &xor_min[v], ci);
     });
     parlib::parallel_for(0, bwd_entries.size(), [&](std::size_t i) {
       const auto v = static_cast<vertex_id>(bwd_entries[i] >> 32);

@@ -245,20 +245,12 @@ class compressed_graph {
   template <typename F>
   void map_out_neighbors_range(vertex_id v, std::size_t j_lo, std::size_t j_hi,
                      const F& f) const {
-    const vertex_id deg = out_.degree(v);
-    j_hi = std::min<std::size_t>(j_hi, deg);
-    if (j_lo >= j_hi) return;
-    const std::size_t b_lo = j_lo / kCompressedBlockSize;
-    const std::size_t b_hi = (j_hi - 1) / kCompressedBlockSize;
-    for (std::size_t b = b_lo; b <= b_hi; ++b) {
-      const std::size_t base = b * kCompressedBlockSize;
-      out_.decode_block(v, b, [&](std::size_t j, vertex_id ngh, W w) {
-        const std::size_t abs = base + j;
-        if (abs >= j_hi) return false;
-        if (abs >= j_lo) f(v, ngh, w);
-        return true;
-      });
-    }
+    map_side_range(out_, v, j_lo, j_hi, f);
+  }
+  template <typename F>
+  void map_in_neighbors_range(vertex_id v, std::size_t j_lo, std::size_t j_hi,
+                              const F& f) const {
+    map_side_range(symmetric_ ? out_ : in_, v, j_lo, j_hi, f);
   }
 
   template <typename M, typename F>
@@ -486,6 +478,27 @@ class compressed_graph {
       parlib::parallel_for(0, nb, body, 1);
     } else {
       for (std::size_t b = 0; b < nb; ++b) body(b);
+    }
+  }
+
+  // f over positions [j_lo, j_hi) of v's list on `side`, decoding only the
+  // blocks that overlap the range.
+  template <typename F>
+  void map_side_range(
+      const compression_internal::compressed_side<W, Codec>& side,
+      vertex_id v, std::size_t j_lo, std::size_t j_hi, const F& f) const {
+    j_hi = std::min<std::size_t>(j_hi, side.degree(v));
+    if (j_lo >= j_hi) return;
+    const std::size_t b_lo = j_lo / kCompressedBlockSize;
+    const std::size_t b_hi = (j_hi - 1) / kCompressedBlockSize;
+    for (std::size_t b = b_lo; b <= b_hi; ++b) {
+      const std::size_t base = b * kCompressedBlockSize;
+      side.decode_block(v, b, [&](std::size_t j, vertex_id ngh, W w) {
+        const std::size_t abs = base + j;
+        if (abs >= j_hi) return false;
+        if (abs >= j_lo) f(v, ngh, w);
+        return true;
+      });
     }
   }
 

@@ -248,7 +248,10 @@ vertex_subset edge_map(const Graph& g, vertex_subset& frontier, F f,
       opts.threshold >= 0 ? static_cast<std::uint64_t>(opts.threshold)
                           : g.num_edges() / 20;
   const std::uint64_t deg_sum = internal::frontier_degree_sum(g, frontier);
+  // No out-edges, no output: skip the dense mode's O(n) scan.
+  if (deg_sum == 0) return vertex_subset(g.num_vertices());
   if (opts.allow_dense && frontier.size() + deg_sum > threshold) {
+    obs::events().edgemap_dense_vertices.add(g.num_vertices());
     if (opts.dense_forward) {
       return internal::edge_map_dense_forward(g, frontier, f);
     }

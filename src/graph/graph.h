@@ -208,6 +208,21 @@ class graph {
     }
   }
 
+  // The in-side analogue (edge_map over a transposed_view).
+  template <typename F>
+  void map_in_neighbors_range(vertex_id v, std::size_t j_lo, std::size_t j_hi,
+                              const F& f) const {
+    if (symmetric_) {
+      map_out_neighbors_range(v, j_lo, j_hi, f);
+      return;
+    }
+    const auto nghs = in_neighbors(v);
+    const auto base = s_->in_offsets[v];
+    for (std::size_t j = j_lo; j < j_hi && j < nghs.size(); ++j) {
+      f(v, nghs[j], in_weight_at(base, j));
+    }
+  }
+
   template <typename M, typename F>
   typename M::value_type reduce_out(vertex_id v, const F& f,
                                     const M& monoid) const {

@@ -6,7 +6,8 @@
 // (`dynamic::dynamic_graph<W>`), the serving layer's overlay-fused
 // `serve::dynamic_view<W>`, or the sharded ingest path's stitched
 // `serve::composite_view<W>` (per-vertex routing to the owning shard's
-// base ⊕ delta rows) — runs the same algorithms unmodified.
+// base ⊕ delta rows) — runs the same algorithms unmodified. The
+// `transposed_view<G>` adapter at the end swaps a model's two sides.
 //
 // A model supplies:
 //   * num_vertices() / num_edges() — n and the *live* directed edge count
@@ -80,5 +81,60 @@ concept graph_view = requires(
 // The static CSR is the trivial model.
 static_assert(graph_view<graph<empty_weight>>);
 static_assert(graph_view<graph<std::uint32_t>>);
+
+// The transpose of a view: its out-side is G's in-side and vice versa, so
+// edge_map over it follows in-edges (SCC's backward reach) without building
+// a reversed CSR. G must also offer map_in_neighbors_range (the static and
+// compressed CSRs do). Holds a reference; `g` must outlive the view.
+template <typename G>
+class transposed_view {
+ public:
+  using weight_type = typename G::weight_type;
+
+  explicit transposed_view(const G& g) : g_(g) {}
+
+  vertex_id num_vertices() const { return g_.num_vertices(); }
+  edge_id num_edges() const { return g_.num_edges(); }
+  bool symmetric() const { return g_.symmetric(); }
+  vertex_id out_degree(vertex_id v) const { return g_.in_degree(v); }
+  vertex_id in_degree(vertex_id v) const { return g_.out_degree(v); }
+
+  template <typename F>
+  void map_out_neighbors(vertex_id v, const F& f, bool par = true) const {
+    g_.map_in_neighbors(v, f, par);
+  }
+  template <typename F>
+  void map_in_neighbors(vertex_id v, const F& f, bool par = true) const {
+    g_.map_out_neighbors(v, f, par);
+  }
+  template <typename F>
+  void map_out_neighbors_early_exit(vertex_id v, const F& f) const {
+    g_.map_in_neighbors_early_exit(v, f);
+  }
+  template <typename F>
+  void map_in_neighbors_early_exit(vertex_id v, const F& f) const {
+    g_.map_out_neighbors_early_exit(v, f);
+  }
+  template <typename F>
+  void map_out_neighbors_range(vertex_id v, std::size_t j_lo,
+                               std::size_t j_hi, const F& f) const {
+    g_.map_in_neighbors_range(v, j_lo, j_hi, f);
+  }
+  template <typename F>
+  std::size_t count_out(vertex_id v, const F& pred) const {
+    std::size_t c = 0;
+    g_.map_in_neighbors_early_exit(v, [&](vertex_id src, vertex_id ngh,
+                                          weight_type w) {
+      c += pred(src, ngh, w) ? 1 : 0;
+      return true;
+    });
+    return c;
+  }
+
+ private:
+  const G& g_;
+};
+
+static_assert(graph_view<transposed_view<graph<empty_weight>>>);
 
 }  // namespace gbbs

@@ -71,12 +71,15 @@ struct metrics_snapshot {
 // written and edges examined by the sparse edgeMap variants (edgeMapSparse
 // writes one slot per edge, edgeMapBlocked one per live neighbor), and the
 // contended k-core's fetch-and-adds vs the histogram variant's calls.
-// Callers add once per block or round, never per edge. The last counts
-// a published version's merged-CSR builds (snapshot_store.h); fresh
-// serving analytics must leave it untouched.
+// Callers add once per block or round, never per edge. Dense vertices
+// adds n per dense or dense-forward edgeMap call (the O(n) scan a round
+// pays when it leaves the sparse modes). The last counts a published
+// version's merged-CSR builds (snapshot_store.h); fresh serving analytics
+// must leave it untouched.
 struct event_counts {
   counter& edgemap_slots_written;
   counter& edgemap_edges_examined;
+  counter& edgemap_dense_vertices;
   counter& fetch_add_ops;
   counter& histogram_calls;
   counter& merged_csr_materializations;
@@ -127,6 +130,7 @@ class registry {
       reg->events_.reset(new event_counts{
           reg->get_counter("edgemap.slots_written"),
           reg->get_counter("edgemap.edges_examined"),
+          reg->get_counter("edgemap.dense_vertices"),
           reg->get_counter("parlib.fetch_add_ops"),
           reg->get_counter("parlib.histogram_calls"),
           reg->get_counter("serve.merged_csr_materializations")});

@@ -109,10 +109,12 @@ class concurrent_map {
       std::uint64_t cur = atomic_load(&keys_[i]);
       if (cur == key) return false;
       if (cur == kEmpty) {
-        // Publish the value before claiming the key so a reader that sees
-        // the key also sees the value.
-        values_[i] = value;
-        if (atomic_cas(&keys_[i], kEmpty, key)) return true;
+        // Only the inserter that claims the cell writes its value. find()
+        // runs after all inserts (phase rule), so it sees the value.
+        if (atomic_cas(&keys_[i], kEmpty, key)) {
+          values_[i] = value;
+          return true;
+        }
         cur = atomic_load(&keys_[i]);
         if (cur == key) return false;
         continue;

@@ -10,6 +10,7 @@
 #include "algorithms/connectivity.h"
 #include "algorithms/spanning_forest.h"
 #include "graph/compression/compressed_graph.h"
+#include "obs/registry.h"
 #include "parlib/union_find.h"
 #include "seq/reference.h"
 #include "test_graphs.h"
@@ -59,6 +60,29 @@ TEST(Connectivity, CompressedMatchesUncompressed) {
   auto g = gbbs::testing::make_symmetric("rmat");
   auto cg = gbbs::compressed_graph<gbbs::empty_weight>::compress(g);
   expect_same_partition(gbbs::connectivity(g), gbbs::connectivity(cg));
+}
+
+// 2^14 isolated vertices plus a 32-clique. Level 0's LDD scans all n
+// vertices only in the rounds that grow the clique (an all-isolated
+// frontier has no edges, so edge_map returns at once), and the isolated
+// clusters do not recurse, so no later level scans them again. Without
+// the edge_map guard most ball-growing rounds go dense (about 21n).
+TEST(Connectivity, MostlyIsolatedGraphScansFewDenseRounds) {
+  const vertex_id isolated = vertex_id{1} << 14, core = 32;
+  const vertex_id n = isolated + core;
+  std::vector<gbbs::edge<gbbs::empty_weight>> edges;
+  for (vertex_id i = 0; i < core; ++i) {
+    for (vertex_id j = i + 1; j < core; ++j) {
+      edges.push_back({isolated + i, isolated + j, {}});
+    }
+  }
+  auto g = gbbs::build_symmetric_graph<gbbs::empty_weight>(n, edges);
+  const auto& dense = gbbs::obs::events().edgemap_dense_vertices;
+  const std::uint64_t before = dense.value();
+  auto got = gbbs::connectivity(g);
+  const std::uint64_t scanned = dense.value() - before;
+  expect_same_partition(got, gbbs::seq::connectivity(g));
+  EXPECT_LE(scanned, 4ull * n);
 }
 
 TEST(Connectivity, RepresentativesAreOnePerComponent) {

@@ -147,6 +147,33 @@ TEST(EdgeMap, EmptyFrontierShortCircuits) {
   EXPECT_TRUE(next.empty());
 }
 
+// A frontier without out-edges cannot produce output, so even a forced
+// dense round returns empty without its O(n) scan; a frontier with an edge
+// still goes dense and counts n scanned vertices.
+TEST(EdgeMap, ZeroDegreeFrontierSkipsDenseScan) {
+  // Vertices 0..9 are isolated; 10..19 form a path.
+  std::vector<gbbs::edge<empty_weight>> edges;
+  for (vertex_id v = 10; v + 1 < 20; ++v) edges.push_back({v, v + 1, {}});
+  auto g = gbbs::build_symmetric_graph<empty_weight>(20, edges);
+  edge_map_options always_dense;
+  always_dense.threshold = 0;
+  const auto& dense = gbbs::obs::events().edgemap_dense_vertices;
+  std::vector<std::uint8_t> visited(20, 0);
+  std::vector<vertex_id> isolated(10);
+  for (vertex_id v = 0; v < 10; ++v) isolated[v] = v;
+  vertex_subset frontier(20, isolated);
+  const std::uint64_t before = dense.value();
+  auto next = gbbs::edge_map(g, frontier, acquire_f{&visited}, always_dense);
+  EXPECT_TRUE(next.empty());
+  EXPECT_EQ(dense.value(), before);
+
+  visited[10] = 1;
+  vertex_subset one_edge(20, vertex_id{10});
+  next = gbbs::edge_map(g, one_edge, acquire_f{&visited}, always_dense);
+  EXPECT_EQ(sorted_ids(next), std::vector<vertex_id>{11});
+  EXPECT_EQ(dense.value(), before + 20);
+}
+
 TEST(EdgeMap, BlockedWritesFewerSlotsThanSparse) {
   // On a one-hop expansion of a high-degree frontier with most targets
   // already visited, blocked writes O(live) slots while sparse writes

@@ -1,5 +1,5 @@
-// Tests for the phase-concurrent hash tables (set + SCC reachability
-// multimap), including concurrent insertion races.
+// Tests for the phase-concurrent hash tables (set, insert-once map, SCC
+// reachability multimap), including concurrent insertion races.
 #include <algorithm>
 #include <cstdint>
 #include <set>
@@ -106,6 +106,20 @@ TEST(ReachabilityTable, DuplicateRaceInsertsOnce) {
     for (auto w : won) total += w;
     ASSERT_EQ(total, 1u);
     ASSERT_EQ(t.count_labels(11), 1u);
+  }
+}
+
+// Distinct keys racing for the same empty cells: every key keeps the value
+// its own insert stored, never one written by an inserter that lost the cell.
+TEST(ConcurrentMap, RacingInsertsKeepTheirOwnValues) {
+  const std::uint64_t n = 1 << 14;
+  for (int trial = 0; trial < 20; ++trial) {
+    parlib::concurrent_map m(n);
+    parlib::parallel_for(
+        0, n, [&](std::size_t k) { m.insert(k, k * 7 + 1); }, 1);
+    for (std::uint64_t k = 0; k < n; ++k) {
+      ASSERT_EQ(m.find(k), k * 7 + 1) << "key " << k << " trial " << trial;
+    }
   }
 }
 

@@ -1,11 +1,16 @@
 // MSF vs Kruskal: total weight equality (the MSF invariant), forest
-// validity, filtering vs plain Boruvka agreement.
+// validity, filtering vs plain Boruvka agreement, and the exact forest
+// under the index tie-break.
+#include <algorithm>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "algorithms/msf.h"
+#include "graph/generators.h"
 #include "parlib/union_find.h"
 #include "seq/reference.h"
 #include "test_graphs.h"
@@ -90,6 +95,35 @@ TEST(Msf, UniqueWeightsGiveUniqueForest) {
     got.insert({std::min(e.u, e.v), std::max(e.u, e.v)});
   }
   EXPECT_EQ(got, expected);
+}
+
+// Boruvka breaks weight ties by edge index, so its forest is the unique MSF
+// under the (weight, index) order: on seeded graphs full of ties it must
+// equal Kruskal's forest with the same tie-break, filtered or not.
+TEST(Msf, ForestEqualsIndexTieBrokenKruskal) {
+  for (std::uint64_t seed : {3ull, 11ull, 29ull}) {
+    auto base = gbbs::rmat_edges(10, 12000, seed);
+    auto g = gbbs::build_symmetric_graph<std::uint32_t>(
+        1 << 10, gbbs::with_random_weights(base, 4, seed));
+    auto flat = g.edges();
+    auto half = parlib::filter(flat, [](const auto& e) { return e.u < e.v; });
+    std::stable_sort(half.begin(), half.end(),
+                     [](const auto& a, const auto& b) { return a.w < b.w; });
+    parlib::union_find uf(g.num_vertices());
+    std::set<std::pair<vertex_id, vertex_id>> expected;
+    for (const auto& e : half) {
+      if (uf.unite(e.u, e.v)) expected.insert({e.u, e.v});
+    }
+    for (bool filtering : {true, false}) {
+      auto res = gbbs::msf(g, filtering);
+      std::set<std::pair<vertex_id, vertex_id>> got;
+      for (const auto& e : res.forest) {
+        got.insert({std::min(e.u, e.v), std::max(e.u, e.v)});
+      }
+      EXPECT_EQ(got, expected) << "seed " << seed << " filtering "
+                               << filtering;
+    }
+  }
 }
 
 TEST(Msf, PathUsesAllEdges) {

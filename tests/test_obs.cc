@@ -300,6 +300,7 @@ std::int64_t global_counter(const std::string& name) {
 TEST(ObsRegistry, EventCountsListedAndEdgeMapCountedOnce) {
   for (const char* name :
        {"edgemap.slots_written", "edgemap.edges_examined",
+        "edgemap.dense_vertices",
         "parlib.fetch_add_ops", "parlib.histogram_calls",
         "serve.merged_csr_materializations", "sched.external_registrations",
         "sched.unregistered_pardos", "sched.reader_forks",

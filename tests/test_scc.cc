@@ -1,5 +1,6 @@
 // SCC vs the iterative Tarjan oracle: partition equality across graph
-// shapes, option combinations (trimming, single-pivot, beta), and seeds.
+// shapes, option combinations (trimming, single-pivot, beta), and seeds;
+// and the round work of long searches, read off the edgemap.* counters.
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -8,6 +9,8 @@
 
 #include "algorithms/scc.h"
 #include "graph/compression/compressed_graph.h"
+#include "graph/generators.h"
+#include "obs/registry.h"
 #include "seq/reference.h"
 #include "test_graphs.h"
 
@@ -128,6 +131,56 @@ TEST(Scc, GiantSccPlusTail) {
   auto got = gbbs::scc(g);
   auto expected = gbbs::seq::scc(g);
   expect_same_partition(got.labels, expected);
+}
+
+// One default scc() call, checked against Tarjan, and the edgemap.*
+// counter deltas it caused.
+struct edge_map_work {
+  std::uint64_t edges_examined;
+  std::uint64_t dense_vertices;
+};
+
+edge_map_work checked_scc_work(
+    const gbbs::graph<gbbs::empty_weight>& g) {
+  const auto& ev = gbbs::obs::events();
+  const std::uint64_t examined0 = ev.edgemap_edges_examined.value();
+  const std::uint64_t dense0 = ev.edgemap_dense_vertices.value();
+  auto got = gbbs::scc(g);
+  const edge_map_work work{ev.edgemap_edges_examined.value() - examined0,
+                           ev.edgemap_dense_vertices.value() - dense0};
+  expect_same_partition(got.labels, gbbs::seq::scc(g));
+  return work;
+}
+
+// Both are one SCC, found by the single-pivot phase: its forward and
+// backward reach each visit every vertex once, so the sparse rounds examine
+// at most 2m edges in all (dense rounds count no examined edges). A reach
+// that scanned all n vertices per round would cost n^2 on the cycle.
+TEST(Scc, LongDirectedCycleRoundsPayOnlyForTheirFrontier) {
+  const vertex_id n = vertex_id{1} << 16;
+  std::vector<gbbs::edge<gbbs::empty_weight>> edges;
+  for (vertex_id i = 0; i < n; ++i) edges.push_back({i, (i + 1) % n, {}});
+  auto g = gbbs::build_asymmetric_graph<gbbs::empty_weight>(n, edges);
+  const std::uint64_t m = g.num_edges();
+  const auto work = checked_scc_work(g);
+  EXPECT_GE(work.edges_examined, m);
+  EXPECT_LE(work.edges_examined, 4 * m);
+  EXPECT_EQ(work.dense_vertices, 0u);
+}
+
+// The +1 edges of each dimension only: one SCC of diameter 3 * 23, about 70
+// rounds per direction. At side 24 the largest frontier (about 3/4 side^2
+// vertices) stays under edge_map's m/20 dense threshold, so every round is
+// sparse and counted; at side 16 the middle rounds go dense.
+TEST(Scc, DirectedTorusRoundsPayOnlyForTheirFrontier) {
+  const vertex_id side = 24;
+  auto g = gbbs::build_asymmetric_graph<gbbs::empty_weight>(
+      side * side * side, gbbs::torus3d_edges(side));
+  const std::uint64_t m = g.num_edges();
+  const auto work = checked_scc_work(g);
+  EXPECT_GE(work.edges_examined, m);
+  EXPECT_LE(work.edges_examined, 4 * m);
+  EXPECT_EQ(work.dense_vertices, 0u);
 }
 
 }  // namespace
