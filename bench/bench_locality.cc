@@ -11,7 +11,8 @@
 //      dense pass, so a skewed graph's count is well below its rounds)
 //      and the number of contended FA operations the baseline issues
 //      (one per peeled edge, in every round).
-//   2. wBFS with edgeMapBlocked vs the unblocked sparse edgeMap. Paper:
+//   2. wBFS with edge_map_data's blocked kernel (edgeMapBlocked) vs its
+//      unblocked one, which writes a slot per incident edge. Paper:
 //      blocked reads/writes 2.1x fewer bytes and is ~1.7x faster; here we
 //      report times plus slots written per variant (the quantity that
 //      drives the byte traffic).
@@ -63,9 +64,9 @@ int main() {
                 "k-core (fetch-and-add)", t_fa,
                 static_cast<unsigned long long>(fa_ops), t_fa / t_hist);
 
-    // --- wBFS: blocked vs unblocked sparse edgeMap (dense disabled inside
-    // edge_map_data, which is sparse-only, so this isolates the two sparse
-    // traversals exactly as the paper's experiment does).
+    // --- wBFS: blocked vs unblocked edge_map_data (sparse-only, so this
+    // isolates the two sparse traversals exactly as the paper's experiment
+    // does).
     const gbbs::vertex_id src = sg.sym.num_vertices() / 2;
     std::uint64_t blocked_writes = 0;
     const double t_blocked = time_counted(ev.edgemap_slots_written, [&] {

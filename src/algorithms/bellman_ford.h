@@ -70,8 +70,9 @@ struct mark_reachable_f {
 }  // namespace bf_internal
 
 template <typename Graph>
-std::vector<std::int64_t> bellman_ford(const Graph& g, vertex_id src,
-                                       edge_map_options opts = {}) {
+std::vector<std::int64_t> bellman_ford(
+    const Graph& g, vertex_id src,
+    edge_map_direction dir = edge_map_direction::automatic) {
   const vertex_id n = g.num_vertices();
   std::vector<std::int64_t> dist(n, kInfDist64);
   std::vector<std::uint8_t> flags(n, 0);
@@ -79,7 +80,7 @@ std::vector<std::int64_t> bellman_ford(const Graph& g, vertex_id src,
   vertex_subset frontier(n, src);
   std::uint64_t rounds = 0;
   while (!frontier.empty() && rounds <= n) {
-    frontier = edge_map(g, frontier, bf_internal::bf_f{&dist, &flags}, opts);
+    frontier = edge_map(g, frontier, bf_internal::bf_f{&dist, &flags}, dir);
     frontier.to_sparse();
     vertex_map(frontier, [&](vertex_id v) { flags[v] = 0; });
     ++rounds;
@@ -90,7 +91,7 @@ std::vector<std::int64_t> bellman_ford(const Graph& g, vertex_id src,
     frontier.for_each([&](vertex_id v) { dist[v] = kNegInfDist64; });
     while (!frontier.empty()) {
       frontier =
-          edge_map(g, frontier, bf_internal::mark_reachable_f{&dist}, opts);
+          edge_map(g, frontier, bf_internal::mark_reachable_f{&dist}, dir);
     }
   }
   return dist;

@@ -55,8 +55,9 @@ struct dependency_f {
 
 // Dependency scores (centrality contribution of all src-t shortest paths).
 template <typename Graph>
-std::vector<double> betweenness(const Graph& g, vertex_id src,
-                                edge_map_options opts = {}) {
+std::vector<double> betweenness(
+    const Graph& g, vertex_id src,
+    edge_map_direction dir = edge_map_direction::automatic) {
   const vertex_id n = g.num_vertices();
   std::vector<double> num_paths(n, 0.0), dependencies(n, 0.0);
   std::vector<std::uint8_t> visited(n, 0);
@@ -67,7 +68,7 @@ std::vector<double> betweenness(const Graph& g, vertex_id src,
   vertex_subset frontier(n, src);
   while (!frontier.empty()) {
     frontier = edge_map(
-        g, frontier, bc_internal::path_f{&num_paths, &visited}, opts);
+        g, frontier, bc_internal::path_f{&num_paths, &visited}, dir);
     frontier.to_sparse();
     vertex_map(frontier, [&](vertex_id v) { visited[v] = 1; });
     levels.push_back(frontier);
@@ -81,7 +82,7 @@ std::vector<double> betweenness(const Graph& g, vertex_id src,
     vertex_map(f, [&](vertex_id v) { visited[v] = 1; });
     edge_map(g, f,
              bc_internal::dependency_f{&num_paths, &dependencies, &visited},
-             opts);
+             dir);
   }
   dependencies[src] = 0.0;
   return dependencies;

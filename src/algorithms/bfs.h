@@ -71,8 +71,9 @@ struct bfs_tree_f {
 
 // Hop distances from src (kInfDist if unreachable).
 template <typename Graph>
-std::vector<std::uint32_t> bfs(const Graph& g, vertex_id src,
-                               edge_map_options opts = {}) {
+std::vector<std::uint32_t> bfs(
+    const Graph& g, vertex_id src,
+    edge_map_direction dir = edge_map_direction::automatic) {
   std::vector<std::uint8_t> visited(g.num_vertices(), 0);
   std::vector<std::uint32_t> dist(g.num_vertices(), kInfDist);
   visited[src] = 1;
@@ -83,7 +84,7 @@ std::vector<std::uint32_t> bfs(const Graph& g, vertex_id src,
     ++round;
     frontier = edge_map(
         g, frontier,
-        bfs_internal::bfs_f{&visited, &dist, round}, opts);
+        bfs_internal::bfs_f{&visited, &dist, round}, dir);
   }
   return dist;
 }
@@ -91,15 +92,15 @@ std::vector<std::uint32_t> bfs(const Graph& g, vertex_id src,
 // Multi-source BFS forest: parent[v] = BFS-tree parent, parent[root] = root,
 // parent[unreached] = kNoVertex. Roots form the initial frontier.
 template <typename Graph>
-std::vector<vertex_id> bfs_forest(const Graph& g,
-                                  const std::vector<vertex_id>& roots,
-                                  edge_map_options opts = {}) {
+std::vector<vertex_id> bfs_forest(
+    const Graph& g, const std::vector<vertex_id>& roots,
+    edge_map_direction dir = edge_map_direction::automatic) {
   std::vector<vertex_id> parent(g.num_vertices(), kNoVertex);
   for (const vertex_id r : roots) parent[r] = r;
   vertex_subset frontier(g.num_vertices(), roots);
   while (!frontier.empty()) {
     frontier =
-        edge_map(g, frontier, bfs_internal::bfs_tree_f{&parent}, opts);
+        edge_map(g, frontier, bfs_internal::bfs_tree_f{&parent}, dir);
   }
   return parent;
 }

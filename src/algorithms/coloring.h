@@ -117,7 +117,7 @@ std::vector<vertex_id> color_graph(const Graph& g,
     finished += roots.size();
     roots = edge_map(g, roots,
                      coloring_internal::decrement_f{ord, &priority},
-                     edge_map_options{.allow_dense = false});
+                     edge_map_direction::sparse);
   }
   return color;
 }

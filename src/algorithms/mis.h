@@ -107,7 +107,7 @@ std::vector<std::uint8_t> mis_rootset(const Graph& g,
         g, removed, mis_internal::decrement_f{&perm_pos, &priority},
         // Always run sparse: the dense traversal's early exit on cond does
         // not suit counting updates from multiple sources.
-        edge_map_options{.allow_dense = false});
+        edge_map_direction::sparse);
   }
   return in_mis;
 }

@@ -48,8 +48,9 @@ struct wbfs_result {
   std::size_t num_rounds = 0;       // bucket pops
 };
 
-// use_blocked selects edgeMapBlocked vs the unblocked sparse traversal for
-// the relaxation step (the Table 6 "wBFS blocked/unblocked" comparison).
+// use_blocked selects edge_map_data's blocked kernel (edgeMapBlocked) vs its
+// unblocked one (one slot per incident edge) for the relaxation step (the
+// Table 6 "wBFS blocked/unblocked" comparison).
 template <typename Graph>
 wbfs_result wbfs(const Graph& g, vertex_id src, bool use_blocked = true) {
   const vertex_id n = g.num_vertices();

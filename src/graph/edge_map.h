@@ -4,7 +4,7 @@
 // Every traversal here is written against the graph_view concept
 // (graph_view.h), not the concrete CSR: any model — static CSR, compressed
 // CSR, the live batch-dynamic graph, or the serving layer's overlay-fused
-// dynamic_view — drives the same four modes. The direction threshold uses
+// dynamic_view — drives the same kernels. The direction threshold uses
 // the view's *live* num_edges(), which for delta-overlaid models includes
 // overlay inserts and excludes erases (a base-only count would skew the
 // dense/sparse switch as the overlay grows).
@@ -15,18 +15,19 @@
 //   bool cond(v)                — whether v can still be acquired.
 // Returning true from update means "v joins the output frontier".
 //
-// Modes:
-//  * dense    — over all v with cond(v), scan in-neighbors sequentially and
-//               stop early once cond(v) flips (the paper's optimized dense
-//               traversal trading O(log n) depth for O(in-deg(v))).
-//  * sparse   — edgeMapSparse: one output slot per incident edge, then
-//               filter. Kept (a) as the baseline Table 6 compares against,
-//               and (b) selectable via edge_map_options.
-//  * blocked  — edgeMapBlocked (Algorithm 15): logically split the incident
-//               edges into bsize-blocks by binary-searching the prefix-summed
-//               degree array, pack live neighbors block-locally, then one
-//               scan + gather. Writes O(live neighbors) slots instead of
-//               O(sum of degrees). Default sparse mode.
+// Kernels:
+//  * dense     — over all v with cond(v), scan in-neighbors sequentially and
+//                stop early once cond(v) flips (the paper's optimized dense
+//                traversal trading O(log n) depth for O(in-deg(v))).
+//  * blocked   — edgeMapBlocked (Algorithm 15): logically split the incident
+//                edges into bsize-blocks by binary-searching the prefix-summed
+//                degree array, pack live neighbors block-locally, then one
+//                scan + gather. Writes O(live neighbors) slots instead of
+//                O(sum of degrees). The sparse mode of edge_map and the
+//                default of edge_map_data, generic over the emitted element.
+//  * unblocked — edgeMapSparse: one output slot per incident edge, then
+//                filter. Reachable only through edge_map_data, as the
+//                baseline Table 6 compares the blocked kernel against.
 //
 // The registry's edgemap.* counters (obs::event_counts, read by
 // bench_locality) are updated once per call (never per edge).
@@ -34,7 +35,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <vector>
 
@@ -42,31 +42,23 @@
 #include "graph/graph_view.h"
 #include "graph/vertex_subset.h"
 #include "obs/registry.h"
-#include "parlib/atomics.h"
 #include "parlib/cancellation.h"
 #include "parlib/parallel.h"
 #include "parlib/sequence_ops.h"
 
 namespace gbbs {
 
-struct edge_map_options {
-  // Dense/sparse switch threshold; <0 means m/20 (Ligra's default).
-  long threshold = -1;
-  // Force a particular sparse implementation (both write the same frontier).
-  bool use_blocked = true;
-  // Disable the dense mode entirely (used by the locality bench to compare
-  // the two sparse traversals head-to-head, Section 6 "Locality").
-  bool allow_dense = true;
-  // Dense-forward (Ligra): in dense mode, iterate the OUT-edges of frontier
-  // members (using update_atomic) instead of scanning every vertex's
-  // in-edges. Wins when the frontier is dense but few targets still satisfy
-  // cond (no early-exit benefit to give up).
-  bool dense_forward = false;
-};
+// Which traversal edge_map runs. `automatic` is Ligra's rule: dense once the
+// frontier's size plus out-degree sum exceeds m / kDenseDivisor. `sparse`
+// always runs the blocked kernel (MIS and coloring: the dense kernel's early
+// exit on cond does not suit their counting updates); `dense` always runs
+// the dense one.
+enum class edge_map_direction { automatic, sparse, dense };
 
 namespace internal {
 
 inline constexpr std::size_t kEdgeMapBlock = 4096;
+inline constexpr std::uint64_t kDenseDivisor = 20;
 
 template <graph_view Graph>
 std::uint64_t frontier_degree_sum(const Graph& g, const vertex_subset& vs) {
@@ -82,6 +74,17 @@ std::uint64_t frontier_degree_sum(const Graph& g, const vertex_subset& vs) {
     return static_cast<std::uint64_t>(g.out_degree(v));
   });
   return parlib::reduce_add(degs);
+}
+
+// Exclusive prefix sums of the frontier's out-degrees; *total = their sum.
+template <graph_view Graph>
+auto degree_offsets(const Graph& g, const std::vector<vertex_id>& ids,
+                    std::uint64_t* total) {
+  auto offsets = parlib::map(ids, [&](vertex_id v) {
+    return static_cast<std::uint64_t>(g.out_degree(v));
+  });
+  *total = parlib::scan_inplace(offsets);
+  return offsets;
 }
 
 // Dense traversal: for every v with cond(v), scan in-neighbors u; apply
@@ -107,76 +110,20 @@ vertex_subset edge_map_dense(const Graph& g, vertex_subset& frontier, F& f) {
   return vertex_subset(n, std::move(next));
 }
 
-// Dense-forward traversal (Ligra): parallel over frontier members (read
-// from the dense bitmap), scanning their out-edges with the atomic update.
-template <graph_view Graph, typename F>
-vertex_subset edge_map_dense_forward(const Graph& g, vertex_subset& frontier,
-                                     F& f) {
-  frontier.to_dense();
-  const auto& in_frontier = frontier.dense();
-  const vertex_id n = g.num_vertices();
-  std::vector<std::uint8_t> next(n, 0);
-  parlib::parallel_for(0, n, [&](std::size_t ui) {
-    if ((ui & 255u) == 0 ? parlib::cancel::poll() : parlib::cancel::cancelled())
-      return;
-    if (!in_frontier[ui]) return;
-    const auto u = static_cast<vertex_id>(ui);
-    g.map_out_neighbors(u, [&](vertex_id, vertex_id v, auto w) {
-      if (f.cond(v) && f.update_atomic(u, v, w)) {
-        if (!next[v]) parlib::test_and_set(&next[v]);
-      }
-    });
-  });
-  return vertex_subset(n, std::move(next));
-}
-
-// edgeMapSparse: writes one slot per incident edge, then filters out the
-// non-live ones.
-template <graph_view Graph, typename F>
-vertex_subset edge_map_sparse(const Graph& g, vertex_subset& frontier, F& f) {
-  frontier.to_sparse();
-  const auto& ids = frontier.sparse();
-  auto offsets = parlib::map(ids, [&](vertex_id v) {
-    return static_cast<std::uint64_t>(g.out_degree(v));
-  });
-  const std::uint64_t total = parlib::scan_inplace(offsets);
-  std::vector<vertex_id> out(total, kNoVertex);
-  parlib::parallel_for(0, ids.size(), [&](std::size_t i) {
-    // Skipped slots stay kNoVertex and are filtered out below.
-    if ((i & 63u) == 0 ? parlib::cancel::poll() : parlib::cancel::cancelled())
-      return;
-    const vertex_id u = ids[i];
-    std::uint64_t k = offsets[i];
-    g.map_out_neighbors_range(u, 0, g.out_degree(u),
-                    [&](vertex_id, vertex_id v, auto w) {
-                      out[k] = (f.cond(v) && f.update_atomic(u, v, w))
-                                   ? v
-                                   : kNoVertex;
-                      ++k;
-                    });
-  });
-  const auto& ev = obs::events();
-  ev.edgemap_edges_examined.add(total);
-  ev.edgemap_slots_written.add(total);
-  auto live = parlib::filter(out, [](vertex_id v) { return v != kNoVertex; });
-  return vertex_subset(g.num_vertices(), std::move(live));
-}
-
-// edgeMapBlocked (Algorithm 15).
-template <graph_view Graph, typename F>
-vertex_subset edge_map_blocked(const Graph& g, vertex_subset& frontier,
-                               F& f) {
-  frontier.to_sparse();
-  const auto& ids = frontier.sparse();
+// edgeMapBlocked (Algorithm 15) over the sparse frontier `ids`. emit(u, v, w)
+// returns the element of type T that a live edge contributes to the output,
+// or std::nullopt.
+template <typename T, graph_view Graph, typename Emit>
+std::vector<T> edge_map_blocked(const Graph& g,
+                                const std::vector<vertex_id>& ids,
+                                Emit& emit) {
   // O = prefix sums of frontier degrees.
-  auto offsets = parlib::map(ids, [&](vertex_id v) {
-    return static_cast<std::uint64_t>(g.out_degree(v));
-  });
-  const std::uint64_t total = parlib::scan_inplace(offsets);
-  if (total == 0) return vertex_subset(g.num_vertices());
+  std::uint64_t total = 0;
+  const auto offsets = degree_offsets(g, ids, &total);
+  if (total == 0) return {};
   const std::size_t nblocks = (total - 1) / kEdgeMapBlock + 1;
   // B[i] = index of the frontier vertex containing edge i * bsize.
-  std::vector<std::size_t> block_vertex(nblocks + 1);
+  std::vector<std::size_t> block_vertex(nblocks);
   parlib::parallel_for(0, nblocks, [&](std::size_t b) {
     const std::uint64_t edge_lo = b * kEdgeMapBlock;
     // Last offset <= edge_lo.
@@ -184,8 +131,7 @@ vertex_subset edge_map_blocked(const Graph& g, vertex_subset& frontier,
         std::upper_bound(offsets.begin(), offsets.end(), edge_lo);
     block_vertex[b] = static_cast<std::size_t>(it - offsets.begin()) - 1;
   });
-  block_vertex[nblocks] = ids.size();
-  std::vector<vertex_id> scratch(total);
+  std::vector<T> scratch(total);
   std::vector<std::size_t> live_counts(nblocks);
   parlib::parallel_for(
       0, nblocks,
@@ -205,15 +151,15 @@ vertex_subset edge_map_blocked(const Graph& g, vertex_subset& frontier,
         while (e < edge_hi && vi < ids.size()) {
           const vertex_id u = ids[vi];
           const std::uint64_t v_start = offsets[vi];
-          const std::uint64_t v_end =
-              v_start + g.out_degree(u);
+          const std::uint64_t v_end = v_start + g.out_degree(u);
           const std::uint64_t lo = e - v_start;
           const std::uint64_t hi = std::min(edge_hi, v_end) - v_start;
-          g.map_out_neighbors_range(u, lo, hi, [&](vertex_id, vertex_id v, auto w) {
-            if (f.cond(v) && f.update_atomic(u, v, w)) {
-              scratch[out_k++] = v;
-            }
-          });
+          g.map_out_neighbors_range(
+              u, lo, hi, [&](vertex_id, vertex_id v, auto w) {
+                if (std::optional<T> r = emit(u, v, w)) {
+                  scratch[out_k++] = std::move(*r);
+                }
+              });
           e = v_start + hi;
           ++vi;
         }
@@ -222,7 +168,7 @@ vertex_subset edge_map_blocked(const Graph& g, vertex_subset& frontier,
       1);
   std::vector<std::size_t> out_offsets = live_counts;
   const std::size_t n_live = parlib::scan_inplace(out_offsets);
-  std::vector<vertex_id> live(n_live);
+  std::vector<T> live(n_live);
   parlib::parallel_for(0, nblocks, [&](std::size_t b) {
     std::copy(scratch.begin() + b * kEdgeMapBlock,
               scratch.begin() + b * kEdgeMapBlock + live_counts[b],
@@ -231,41 +177,72 @@ vertex_subset edge_map_blocked(const Graph& g, vertex_subset& frontier,
   const auto& ev = obs::events();
   ev.edgemap_edges_examined.add(total);
   ev.edgemap_slots_written.add(n_live);
-  return vertex_subset(g.num_vertices(), std::move(live));
+  return live;
+}
+
+// edgeMapSparse: writes one slot per incident edge, then filters out the
+// non-live ones. Same emit contract as edge_map_blocked.
+template <typename T, graph_view Graph, typename Emit>
+std::vector<T> edge_map_unblocked(const Graph& g,
+                                  const std::vector<vertex_id>& ids,
+                                  Emit& emit) {
+  std::uint64_t total = 0;
+  const auto offsets = degree_offsets(g, ids, &total);
+  std::vector<std::optional<T>> slots(total);
+  parlib::parallel_for(0, ids.size(), [&](std::size_t i) {
+    // Skipped slots stay disengaged and drop out in map_maybe below.
+    if ((i & 63u) == 0 ? parlib::cancel::poll() : parlib::cancel::cancelled())
+      return;
+    const vertex_id u = ids[i];
+    std::uint64_t k = offsets[i];
+    g.map_out_neighbors_range(u, 0, g.out_degree(u),
+                              [&](vertex_id, vertex_id v, auto w) {
+                                if (std::optional<T> r = emit(u, v, w)) {
+                                  slots[k] = std::move(r);
+                                }
+                                ++k;
+                              });
+  });
+  const auto& ev = obs::events();
+  ev.edgemap_edges_examined.add(total);
+  ev.edgemap_slots_written.add(total);
+  return parlib::map_maybe(slots, [](const std::optional<T>& s) { return s; });
 }
 
 }  // namespace internal
 
 template <graph_view Graph, typename F>
 vertex_subset edge_map(const Graph& g, vertex_subset& frontier, F f,
-                       edge_map_options opts = {}) {
+                       edge_map_direction dir = edge_map_direction::automatic) {
   // Cancellation / deadline check at every round boundary: a cancelled
   // computation's next edge_map returns an empty frontier, which terminates
   // any frontier-driven loop (BFS, BC, …) naturally.
   if (parlib::cancel::poll()) return vertex_subset(g.num_vertices());
   if (frontier.empty()) return vertex_subset(g.num_vertices());
-  const std::uint64_t threshold =
-      opts.threshold >= 0 ? static_cast<std::uint64_t>(opts.threshold)
-                          : g.num_edges() / 20;
   const std::uint64_t deg_sum = internal::frontier_degree_sum(g, frontier);
   // No out-edges, no output: skip the dense mode's O(n) scan.
   if (deg_sum == 0) return vertex_subset(g.num_vertices());
-  if (opts.allow_dense && frontier.size() + deg_sum > threshold) {
+  if (dir == edge_map_direction::dense ||
+      (dir == edge_map_direction::automatic &&
+       frontier.size() + deg_sum > g.num_edges() / internal::kDenseDivisor)) {
     obs::events().edgemap_dense_vertices.add(g.num_vertices());
-    if (opts.dense_forward) {
-      return internal::edge_map_dense_forward(g, frontier, f);
-    }
     return internal::edge_map_dense(g, frontier, f);
   }
-  if (opts.use_blocked) return internal::edge_map_blocked(g, frontier, f);
-  return internal::edge_map_sparse(g, frontier, f);
+  frontier.to_sparse();
+  auto emit = [&](vertex_id u, vertex_id v,
+                  auto w) -> std::optional<vertex_id> {
+    if (f.cond(v) && f.update_atomic(u, v, w)) return v;
+    return std::nullopt;
+  };
+  return vertex_subset(g.num_vertices(), internal::edge_map_blocked<vertex_id>(
+                                             g, frontier.sparse(), emit));
 }
 
-// edgeMapData (Julienne): like the blocked sparse edgeMap, but
-// f.update_atomic returns std::optional<D>; engaged results are collected as
-// (vertex, D) pairs. Used by wBFS to ship (vertex, new-bucket) pairs.
-// use_blocked=false selects the unblocked edgeMapSparse-style traversal
-// (one slot written per incident edge) — the Table 6 baseline.
+// edgeMapData (Julienne): sparse-only edgeMap whose f.update_atomic returns
+// std::optional<D>; engaged results are collected as (vertex, D) pairs. Used
+// by wBFS to ship (vertex, new-bucket) pairs. use_blocked=false selects the
+// unblocked kernel (one slot written per incident edge) — the Table 6
+// baseline.
 template <typename D, graph_view Graph, typename F>
 vertex_subset_data<D> edge_map_data(const Graph& g, vertex_subset& frontier,
                                     F f, bool use_blocked = true) {
@@ -273,99 +250,17 @@ vertex_subset_data<D> edge_map_data(const Graph& g, vertex_subset& frontier,
   if (parlib::cancel::poll()) return vertex_subset_data<D>(g.num_vertices());
   if (frontier.empty()) return vertex_subset_data<D>(g.num_vertices());
   frontier.to_sparse();
-  if (!use_blocked) {
-    const auto& sids = frontier.sparse();
-    auto soffsets = parlib::map(sids, [&](vertex_id v) {
-      return static_cast<std::uint64_t>(g.out_degree(v));
-    });
-    const std::uint64_t stotal = parlib::scan_inplace(soffsets);
-    std::vector<std::optional<KV>> slots(stotal);
-    parlib::parallel_for(0, sids.size(), [&](std::size_t i) {
-      // Skipped slots stay disengaged and drop out in map_maybe below.
-      if ((i & 63u) == 0 ? parlib::cancel::poll() : parlib::cancel::cancelled())
-        return;
-      const vertex_id u = sids[i];
-      std::uint64_t k = soffsets[i];
-      g.map_out_neighbors_range(u, 0, g.out_degree(u),
-                      [&](vertex_id, vertex_id v, auto w) {
-                        if (f.cond(v)) {
-                          if (std::optional<D> r = f.update_atomic(u, v, w)) {
-                            slots[k] = KV{v, *r};
-                          }
-                        }
-                        ++k;
-                      });
-    });
-    const auto& ev = obs::events();
-    ev.edgemap_edges_examined.add(stotal);
-    ev.edgemap_slots_written.add(stotal);
-    auto live = parlib::map_maybe(slots, [](const std::optional<KV>& s) {
-      return s;
-    });
-    return vertex_subset_data<D>(g.num_vertices(), std::move(live));
-  }
+  auto emit = [&](vertex_id u, vertex_id v, auto w) -> std::optional<KV> {
+    if (f.cond(v)) {
+      if (std::optional<D> r = f.update_atomic(u, v, w)) return KV{v, *r};
+    }
+    return std::nullopt;
+  };
   const auto& ids = frontier.sparse();
-  auto offsets = parlib::map(ids, [&](vertex_id v) {
-    return static_cast<std::uint64_t>(g.out_degree(v));
-  });
-  const std::uint64_t total = parlib::scan_inplace(offsets);
-  if (total == 0) return vertex_subset_data<D>(g.num_vertices());
-  constexpr std::size_t kBlock = internal::kEdgeMapBlock;
-  const std::size_t nblocks = (total - 1) / kBlock + 1;
-  std::vector<std::size_t> block_vertex(nblocks + 1);
-  parlib::parallel_for(0, nblocks, [&](std::size_t b) {
-    const std::uint64_t edge_lo = b * kBlock;
-    const auto it =
-        std::upper_bound(offsets.begin(), offsets.end(), edge_lo);
-    block_vertex[b] = static_cast<std::size_t>(it - offsets.begin()) - 1;
-  });
-  block_vertex[nblocks] = ids.size();
-  std::vector<KV> scratch(total);
-  std::vector<std::size_t> live_counts(nblocks);
-  parlib::parallel_for(
-      0, nblocks,
-      [&](std::size_t b) {
-        if (parlib::cancel::poll()) {
-          live_counts[b] = 0;
-          return;
-        }
-        const std::uint64_t edge_lo = b * kBlock;
-        const std::uint64_t edge_hi =
-            std::min<std::uint64_t>(total, edge_lo + kBlock);
-        std::size_t out_k = edge_lo;
-        std::size_t vi = block_vertex[b];
-        std::uint64_t e = edge_lo;
-        while (e < edge_hi && vi < ids.size()) {
-          const vertex_id u = ids[vi];
-          const std::uint64_t v_start = offsets[vi];
-          const std::uint64_t v_end = v_start + g.out_degree(u);
-          const std::uint64_t lo = e - v_start;
-          const std::uint64_t hi = std::min(edge_hi, v_end) - v_start;
-          g.map_out_neighbors_range(u, lo, hi, [&](vertex_id, vertex_id v, auto w) {
-            if (f.cond(v)) {
-              if (std::optional<D> r = f.update_atomic(u, v, w)) {
-                scratch[out_k++] = {v, *r};
-              }
-            }
-          });
-          e = v_start + hi;
-          ++vi;
-        }
-        live_counts[b] = out_k - edge_lo;
-      },
-      1);
-  std::vector<std::size_t> out_offsets = live_counts;
-  const std::size_t n_live = parlib::scan_inplace(out_offsets);
-  std::vector<KV> live(n_live);
-  parlib::parallel_for(0, nblocks, [&](std::size_t b) {
-    std::copy(scratch.begin() + b * kBlock,
-              scratch.begin() + b * kBlock + live_counts[b],
-              live.begin() + out_offsets[b]);
-  });
-  const auto& ev = obs::events();
-  ev.edgemap_edges_examined.add(total);
-  ev.edgemap_slots_written.add(n_live);
-  return vertex_subset_data<D>(g.num_vertices(), std::move(live));
+  return vertex_subset_data<D>(
+      g.num_vertices(),
+      use_blocked ? internal::edge_map_blocked<KV>(g, ids, emit)
+                  : internal::edge_map_unblocked<KV>(g, ids, emit));
 }
 
 }  // namespace gbbs

@@ -109,12 +109,6 @@ class vertex_subset_data {
   bool empty() const { return elts_.empty(); }
   const std::vector<std::pair<vertex_id, D>>& entries() const { return elts_; }
 
-  vertex_subset to_vertex_subset() const {
-    auto ids = parlib::tabulate<vertex_id>(
-        elts_.size(), [&](std::size_t i) { return elts_[i].first; });
-    return vertex_subset(n_, std::move(ids));
-  }
-
  private:
   vertex_id n_;
   std::vector<std::pair<vertex_id, D>> elts_;

@@ -68,12 +68,12 @@ struct metrics_snapshot {
 
 // Process-wide event counts, owned by the global registry. The first four
 // are the software stand-ins for Table 6's hardware counters: slots
-// written and edges examined by the sparse edgeMap variants (edgeMapSparse
-// writes one slot per edge, edgeMapBlocked one per live neighbor), and the
-// contended k-core's fetch-and-adds vs the histogram variant's calls.
-// Callers add once per block or round, never per edge. Dense vertices
-// adds n per dense or dense-forward edgeMap call (the O(n) scan a round
-// pays when it leaves the sparse modes). The last counts a published
+// written and edges examined by the sparse edgeMap kernels (the unblocked
+// edge_map_data baseline writes one slot per edge, edgeMapBlocked one per
+// live neighbor), and the contended k-core's fetch-and-adds vs the
+// histogram variant's calls. Callers add once per block or round, never
+// per edge. Dense vertices adds n per dense edgeMap call (the O(n) scan a
+// round pays when it leaves the sparse mode). The last counts a published
 // version's merged-CSR builds (snapshot_store.h); fresh serving analytics
 // must leave it untouched.
 struct event_counts {

@@ -36,10 +36,8 @@ TEST_P(BfsSuite, DistancesMatchOracle) {
 TEST_P(BfsSuite, SparseOnlyAndDenseOnlyAgree) {
   auto g = gbbs::testing::make_symmetric(GetParam());
   if (g.num_vertices() == 0) return;
-  gbbs::edge_map_options sparse_only{.threshold = -1, .allow_dense = false};
-  gbbs::edge_map_options dense_only{.threshold = 0};
-  auto a = gbbs::bfs(g, 0, sparse_only);
-  auto b = gbbs::bfs(g, 0, dense_only);
+  auto a = gbbs::bfs(g, 0, gbbs::edge_map_direction::sparse);
+  auto b = gbbs::bfs(g, 0, gbbs::edge_map_direction::dense);
   EXPECT_EQ(a, b);
 }
 

@@ -3,7 +3,7 @@
 //     connectivity computed on the overlay-fused serve::dynamic_view (and
 //     on the live dynamic_graph itself) must match the same algorithms on
 //     a compacted snapshot(), across mixed insert/erase batch schedules
-//     and across all edge_map modes (dense / blocked / plain sparse);
+//     and across both edge_map directions (dense / blocked sparse);
 //   * the acceptance check: query-engine analytics on a version with a
 //     non-empty overlay never materialize the merged CSR (asserted via
 //     the registry's serve.merged_csr_materializations count), while
@@ -45,7 +45,7 @@
 namespace {
 
 using gbbs::edge;
-using gbbs::edge_map_options;
+using gbbs::edge_map_direction;
 using gbbs::empty_weight;
 using gbbs::vertex_id;
 using gbbs::serve::query;
@@ -120,20 +120,6 @@ struct mixed_schedule {
   std::set<std::pair<vertex_id, vertex_id>> live_;
 };
 
-edge_map_options mode_options(int mode) {
-  edge_map_options o;
-  if (mode == 0) {
-    o.allow_dense = false;
-    o.use_blocked = true;
-  } else if (mode == 1) {
-    o.allow_dense = false;
-    o.use_blocked = false;
-  } else {
-    o.threshold = 0;  // always dense
-  }
-  return o;
-}
-
 // BFS / k-core / triangles / connectivity on `view` must equal the same
 // algorithms on the compacted reference CSR.
 template <typename View>
@@ -150,9 +136,9 @@ void expect_view_matches_reference(const View& view,
   for (vertex_id src : {vertex_id{0}, static_cast<vertex_id>(n / 2),
                         static_cast<vertex_id>(n - 1)}) {
     const auto want = gbbs::bfs(ref, src);
-    for (int mode = 0; mode < 3; ++mode) {
-      EXPECT_EQ(gbbs::bfs(view, src, mode_options(mode)), want)
-          << "bfs mode " << mode << " from " << src;
+    for (auto dir : {edge_map_direction::sparse, edge_map_direction::dense}) {
+      EXPECT_EQ(gbbs::bfs(view, src, dir), want)
+          << "bfs mode " << static_cast<int>(dir) << " from " << src;
     }
   }
   EXPECT_EQ(gbbs::kcore(view).coreness, gbbs::kcore(ref).coreness);
@@ -283,10 +269,9 @@ TEST(InEdgeOverlay, DirectedLiveGraphMatchesSnapshot) {
     }
     // The direction-optimized dense edgeMap scans in-edges: a dense-mode
     // BFS on the live directed graph must match the snapshot's.
-    for (int mode : {0, 2}) {
-      EXPECT_EQ(gbbs::bfs(dg, 0, mode_options(mode)),
-                gbbs::bfs(snap, 0, mode_options(mode)))
-          << "mode " << mode;
+    for (auto dir : {edge_map_direction::sparse, edge_map_direction::dense}) {
+      EXPECT_EQ(gbbs::bfs(dg, 0, dir), gbbs::bfs(snap, 0, dir))
+          << "mode " << static_cast<int>(dir);
     }
   }
 }

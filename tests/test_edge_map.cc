@@ -1,7 +1,8 @@
-// Tests for edgeMap: dense vs sparse vs blocked equivalence, direction
-// switching, edgeMapData, and the write-counter semantics used by the
-// Table 6 locality bench.
+// Tests for edgeMap: dense vs blocked sparse equivalence, direction
+// switching, edgeMapData blocked vs unblocked, and the write-counter
+// semantics used by the Table 6 locality bench.
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -16,10 +17,11 @@
 
 namespace {
 
-using gbbs::edge_map_options;
+using gbbs::edge_map_direction;
 using gbbs::empty_weight;
 using gbbs::vertex_id;
 using gbbs::vertex_subset;
+using gbbs::vertex_subset_data;
 
 // A BFS-style acquire functor over a visited array.
 struct acquire_f {
@@ -34,7 +36,11 @@ struct acquire_f {
   bool update_atomic(vertex_id, vertex_id v, empty_weight) const {
     return parlib::test_and_set(&(*visited)[v]);
   }
-  bool cond(vertex_id v) const { return !(*visited)[v]; }
+  // Relaxed atomic read: update_atomic's CAS may write the flag concurrently.
+  bool cond(vertex_id v) const {
+    return std::atomic_ref<std::uint8_t>((*visited)[v]).load(
+               std::memory_order_relaxed) == 0;
+  }
 };
 
 std::vector<vertex_id> sorted_ids(vertex_subset vs) {
@@ -44,23 +50,10 @@ std::vector<vertex_id> sorted_ids(vertex_subset vs) {
   return ids;
 }
 
-class EdgeMapModes : public ::testing::TestWithParam<int> {};
-INSTANTIATE_TEST_SUITE_P(Modes, EdgeMapModes, ::testing::Values(0, 1, 2));
-// 0 = blocked sparse, 1 = plain sparse, 2 = dense
-
-edge_map_options mode_options(int mode) {
-  edge_map_options o;
-  if (mode == 0) {
-    o.allow_dense = false;
-    o.use_blocked = true;
-  } else if (mode == 1) {
-    o.allow_dense = false;
-    o.use_blocked = false;
-  } else {
-    o.threshold = 0;  // always dense
-  }
-  return o;
-}
+class EdgeMapModes : public ::testing::TestWithParam<edge_map_direction> {};
+INSTANTIATE_TEST_SUITE_P(Modes, EdgeMapModes,
+                         ::testing::Values(edge_map_direction::sparse,
+                                           edge_map_direction::dense));
 
 TEST_P(EdgeMapModes, OneHopNeighborhood) {
   auto g = gbbs::rmat_symmetric(10, 8000, 11);
@@ -69,7 +62,7 @@ TEST_P(EdgeMapModes, OneHopNeighborhood) {
   visited[src] = 1;
   vertex_subset frontier(g.num_vertices(), src);
   auto next = gbbs::edge_map(g, frontier, acquire_f{&visited},
-                             mode_options(GetParam()));
+                             GetParam());
   // Expected: exactly the neighbors of src.
   auto nghs = g.out_neighbors(src);
   std::vector<vertex_id> expected(nghs.begin(), nghs.end());
@@ -86,7 +79,7 @@ TEST_P(EdgeMapModes, FullBfsReachesSameVertices) {
   std::size_t total = 1;
   while (!frontier.empty()) {
     frontier = gbbs::edge_map(g, frontier, acquire_f{&visited},
-                              mode_options(GetParam()));
+                              GetParam());
     total += frontier.size();
   }
   // Reference reachability.
@@ -118,9 +111,9 @@ TEST(EdgeMap, ModesAgreeOnEveryRound) {
   vertex_subset fa(g.num_vertices(), src), fb(g.num_vertices(), src),
       fc(g.num_vertices(), src);
   while (!fa.empty() || !fb.empty() || !fc.empty()) {
-    fa = gbbs::edge_map(g, fa, acquire_f{&vis_a}, mode_options(0));
-    fb = gbbs::edge_map(g, fb, acquire_f{&vis_b}, mode_options(1));
-    fc = gbbs::edge_map(g, fc, acquire_f{&vis_c}, mode_options(2));
+    fa = gbbs::edge_map(g, fa, acquire_f{&vis_a}, edge_map_direction::sparse);
+    fb = gbbs::edge_map(g, fb, acquire_f{&vis_b}, edge_map_direction::dense);
+    fc = gbbs::edge_map(g, fc, acquire_f{&vis_c});
     ASSERT_EQ(sorted_ids(fa), sorted_ids(fb));
     ASSERT_EQ(sorted_ids(fb), sorted_ids(fc));
   }
@@ -135,7 +128,7 @@ TEST(EdgeMap, DirectedUsesInEdgesForDense) {
   visited[0] = 1;
   vertex_subset frontier(3, vertex_id{0});
   auto next = gbbs::edge_map(g, frontier, acquire_f{&visited},
-                             mode_options(2));
+                             edge_map_direction::dense);
   EXPECT_EQ(sorted_ids(std::move(next)), (std::vector<vertex_id>{1}));
 }
 
@@ -155,8 +148,7 @@ TEST(EdgeMap, ZeroDegreeFrontierSkipsDenseScan) {
   std::vector<gbbs::edge<empty_weight>> edges;
   for (vertex_id v = 10; v + 1 < 20; ++v) edges.push_back({v, v + 1, {}});
   auto g = gbbs::build_symmetric_graph<empty_weight>(20, edges);
-  edge_map_options always_dense;
-  always_dense.threshold = 0;
+  const auto always_dense = edge_map_direction::dense;
   const auto& dense = gbbs::obs::events().edgemap_dense_vertices;
   std::vector<std::uint8_t> visited(20, 0);
   std::vector<vertex_id> isolated(10);
@@ -174,66 +166,6 @@ TEST(EdgeMap, ZeroDegreeFrontierSkipsDenseScan) {
   EXPECT_EQ(dense.value(), before + 20);
 }
 
-TEST(EdgeMap, BlockedWritesFewerSlotsThanSparse) {
-  // On a one-hop expansion of a high-degree frontier with most targets
-  // already visited, blocked writes O(live) slots while sparse writes
-  // O(degree) slots. This is the Section B / Table 6 claim in counter form.
-  auto g = gbbs::rmat_symmetric(12, 60000, 23);
-  // Mark most vertices visited already.
-  std::vector<std::uint8_t> visited(g.num_vertices(), 0);
-  for (vertex_id v = 0; v < g.num_vertices(); ++v) {
-    visited[v] = (v % 8 != 0);
-  }
-  const auto& slots = gbbs::obs::events().edgemap_slots_written;
-
-  std::vector<std::uint8_t> vis1 = visited;
-  vertex_subset f1(g.num_vertices(), vertex_id{0});
-  std::uint64_t before = slots.value();
-  gbbs::edge_map(g, f1, acquire_f{&vis1}, mode_options(1));
-  const auto sparse_writes = slots.value() - before;
-
-  std::vector<std::uint8_t> vis2 = visited;
-  vertex_subset f2(g.num_vertices(), vertex_id{0});
-  before = slots.value();
-  gbbs::edge_map(g, f2, acquire_f{&vis2}, mode_options(0));
-  const auto blocked_writes = slots.value() - before;
-
-  EXPECT_EQ(sparse_writes, g.out_degree(0));
-  EXPECT_LE(blocked_writes, sparse_writes);
-}
-
-TEST(EdgeMap, DenseForwardAgreesWithOtherModes) {
-  auto g = gbbs::rmat_symmetric(10, 12000, 31);
-  const vertex_id src = 9;
-  std::vector<std::uint8_t> vis_a(g.num_vertices(), 0),
-      vis_b(g.num_vertices(), 0);
-  vis_a[src] = vis_b[src] = 1;
-  vertex_subset fa(g.num_vertices(), src), fb(g.num_vertices(), src);
-  edge_map_options fwd;
-  fwd.threshold = 0;  // always dense
-  fwd.dense_forward = true;
-  while (!fa.empty() || !fb.empty()) {
-    fa = gbbs::edge_map(g, fa, acquire_f{&vis_a}, fwd);
-    fb = gbbs::edge_map(g, fb, acquire_f{&vis_b}, mode_options(2));
-    ASSERT_EQ(sorted_ids(fa), sorted_ids(fb));
-  }
-  EXPECT_EQ(vis_a, vis_b);
-}
-
-TEST(EdgeMap, DenseForwardOnDirectedGraph) {
-  // Forward mode traverses out-edges even in dense representation.
-  std::vector<gbbs::edge<empty_weight>> edges = {{0, 1, {}}, {1, 2, {}}};
-  auto g = gbbs::build_asymmetric_graph<empty_weight>(3, edges);
-  std::vector<std::uint8_t> visited(3, 0);
-  visited[0] = 1;
-  vertex_subset frontier(3, vertex_id{0});
-  edge_map_options fwd;
-  fwd.threshold = 0;
-  fwd.dense_forward = true;
-  auto next = gbbs::edge_map(g, frontier, acquire_f{&visited}, fwd);
-  EXPECT_EQ(sorted_ids(std::move(next)), (std::vector<vertex_id>{1}));
-}
-
 struct min_payload_f {
   std::vector<std::uint32_t>* dist;
   bool cond(vertex_id) const { return true; }
@@ -244,6 +176,28 @@ struct min_payload_f {
     return std::nullopt;
   }
 };
+
+// edge_map_data's acquire functor with the source as payload.
+struct acquire_data_f {
+  std::vector<std::uint8_t>* visited;
+  std::optional<vertex_id> update_atomic(vertex_id u, vertex_id v,
+                                         empty_weight) const {
+    if (parlib::test_and_set(&(*visited)[v])) return u;
+    return std::nullopt;
+  }
+  bool cond(vertex_id v) const {
+    return std::atomic_ref<std::uint8_t>((*visited)[v]).load(
+               std::memory_order_relaxed) == 0;
+  }
+};
+
+using entry = std::pair<vertex_id, vertex_id>;
+
+std::vector<entry> sorted_entries(vertex_subset_data<vertex_id> vs) {
+  auto e = vs.entries();
+  std::sort(e.begin(), e.end());
+  return e;
+}
 
 TEST(EdgeMapData, CollectsPayloadsOfSuccessfulUpdates) {
   auto g = gbbs::rmat_symmetric(9, 6000, 29);
@@ -259,6 +213,98 @@ TEST(EdgeMapData, CollectsPayloadsOfSuccessfulUpdates) {
   for (const auto& [v, d] : out.entries()) {
     EXPECT_EQ(d, 1u);
     EXPECT_TRUE(std::binary_search(nghs.begin(), nghs.end(), v));
+  }
+}
+
+TEST(EdgeMapData, BlockedWritesFewerSlotsThanUnblocked) {
+  // On a one-hop expansion of a high-degree frontier with most targets
+  // already visited, blocked writes O(live) slots while unblocked writes
+  // O(degree) slots. This is the Section B / Table 6 claim in counter form,
+  // on the path bench_locality measures.
+  auto g = gbbs::rmat_symmetric(12, 60000, 23);
+  // Mark most vertices visited already.
+  std::vector<std::uint8_t> visited(g.num_vertices(), 0);
+  for (vertex_id v = 0; v < g.num_vertices(); ++v) {
+    visited[v] = (v % 8 != 0);
+  }
+  const auto& slots = gbbs::obs::events().edgemap_slots_written;
+  auto slots_written = [&](bool use_blocked) {
+    std::vector<std::uint8_t> vis = visited;
+    vertex_subset f(g.num_vertices(), vertex_id{0});
+    const std::uint64_t before = slots.value();
+    gbbs::edge_map_data<vertex_id>(g, f, acquire_data_f{&vis}, use_blocked);
+    return slots.value() - before;
+  };
+  const auto unblocked_writes = slots_written(false);
+  const auto blocked_writes = slots_written(true);
+  EXPECT_EQ(unblocked_writes, g.out_degree(0));
+  EXPECT_LE(blocked_writes, unblocked_writes);
+}
+
+// A frontier whose degree sum spans several kEdgeMapBlock blocks, with the
+// hub's edges starting mid-block and crossing two block boundaries, and
+// some targets already visited: the blocked kernel must split the hub's
+// edge range across blocks without dropping or duplicating a target.
+TEST(EdgeMapData, BlocksStraddlingAVertexMatchReference) {
+  const vertex_id kLeaves = 10000;
+  const vertex_id hub = 0;
+  // Three low-degree frontier vertices, each with five private leaves and
+  // an edge to the hub.
+  const std::vector<vertex_id> small = {kLeaves + 1, kLeaves + 2,
+                                        kLeaves + 3};
+  const vertex_id n = kLeaves + 4 + 5 * 3;
+  std::vector<gbbs::edge<empty_weight>> edges;
+  for (vertex_id v = 1; v <= kLeaves; ++v) edges.push_back({hub, v, {}});
+  vertex_id next_leaf = kLeaves + 4;
+  for (vertex_id s : small) {
+    edges.push_back({hub, s, {}});
+    for (int i = 0; i < 5; ++i) edges.push_back({s, next_leaf++, {}});
+  }
+  ASSERT_EQ(next_leaf, n);
+  auto g = gbbs::build_symmetric_graph<empty_weight>(n, edges);
+  ASSERT_GT(g.out_degree(hub), 2 * gbbs::internal::kEdgeMapBlock);
+
+  // The hub sits second so its edges start at a non-zero offset.
+  const std::vector<vertex_id> ids = {small[0], hub, small[1], small[2]};
+  std::vector<std::uint8_t> visited(n, 0);
+  for (vertex_id v : ids) visited[v] = 1;
+  for (vertex_id v = 1; v < n; v += 3) visited[v] = 1;
+  std::uint64_t deg_sum = 0;
+  for (vertex_id u : ids) deg_sum += g.out_degree(u);
+
+  // Sequential reference: each unvisited target with its one frontier
+  // neighbor (every leaf has exactly one).
+  std::vector<entry> expected;
+  for (vertex_id u : ids) {
+    for (vertex_id v : g.out_neighbors(u)) {
+      if (!visited[v]) expected.push_back({v, u});
+    }
+  }
+  std::sort(expected.begin(), expected.end());
+  std::vector<vertex_id> expected_ids;
+  for (const auto& [v, u] : expected) expected_ids.push_back(v);
+  ASSERT_GT(expected.size(), 0u);
+
+  for (auto dir : {edge_map_direction::sparse, edge_map_direction::dense}) {
+    std::vector<std::uint8_t> vis = visited;
+    vertex_subset f(n, ids);
+    EXPECT_EQ(sorted_ids(gbbs::edge_map(g, f, acquire_f{&vis}, dir)),
+              expected_ids);
+  }
+
+  const auto& ev = gbbs::obs::events();
+  for (bool use_blocked : {true, false}) {
+    std::vector<std::uint8_t> vis = visited;
+    vertex_subset f(n, ids);
+    const std::uint64_t slots = ev.edgemap_slots_written.value();
+    const std::uint64_t examined = ev.edgemap_edges_examined.value();
+    auto out = gbbs::edge_map_data<vertex_id>(g, f, acquire_data_f{&vis},
+                                              use_blocked);
+    EXPECT_EQ(sorted_entries(std::move(out)), expected)
+        << "use_blocked=" << use_blocked;
+    EXPECT_EQ(ev.edgemap_edges_examined.value() - examined, deg_sum);
+    EXPECT_EQ(ev.edgemap_slots_written.value() - slots,
+              use_blocked ? expected.size() : deg_sum);
   }
 }
 

@@ -320,16 +320,17 @@ TEST(ObsRegistry, EventCountsListedAndEdgeMapCountedOnce) {
     bool update_atomic(vertex_id, vertex_id v, empty_weight) const {
       return parlib::test_and_set(&(*visited)[v]);
     }
-    bool cond(vertex_id v) const { return !(*visited)[v]; }
+    bool cond(vertex_id v) const {
+      return std::atomic_ref<std::uint8_t>((*visited)[v]).load(
+                 std::memory_order_relaxed) == 0;
+    }
   };
   std::vector<std::uint8_t> visited(6, 0);
   visited[0] = 1;
   gbbs::vertex_subset frontier(6, vertex_id{0});
-  gbbs::edge_map_options sparse;
-  sparse.allow_dense = false;
   const std::int64_t before = global_counter("edgemap.edges_examined");
-  const auto next =
-      gbbs::edge_map(g, frontier, visit_f{&visited}, sparse);
+  const auto next = gbbs::edge_map(g, frontier, visit_f{&visited},
+                                   gbbs::edge_map_direction::sparse);
   EXPECT_EQ(next.size(), 5u);
   EXPECT_EQ(global_counter("edgemap.edges_examined"),
             before + static_cast<std::int64_t>(g.out_degree(0)));

@@ -85,14 +85,11 @@ TEST(VertexSubset, VertexFilterSparseAndDenseAgree) {
   }
 }
 
-TEST(VertexSubsetData, EntriesAndConversion) {
+TEST(VertexSubsetData, Entries) {
   std::vector<std::pair<vertex_id, int>> elts = {{3, 30}, {7, 70}};
   gbbs::vertex_subset_data<int> vsd(10, elts);
   EXPECT_EQ(vsd.size(), 2u);
-  auto vs = vsd.to_vertex_subset();
-  EXPECT_EQ(vs.size(), 2u);
-  EXPECT_TRUE(vs.contains(3));
-  EXPECT_TRUE(vs.contains(7));
+  EXPECT_EQ(vsd.entries(), elts);
 }
 
 TEST(VertexSubset, LargeDenseRoundTrip) {
