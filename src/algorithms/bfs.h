@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "graph/edge_map.h"
@@ -90,17 +91,24 @@ std::vector<std::uint32_t> bfs(
 }
 
 // Multi-source BFS forest: parent[v] = BFS-tree parent, parent[root] = root,
-// parent[unreached] = kNoVertex. Roots form the initial frontier.
+// parent[unreached] = kNoVertex. Roots form the initial frontier. If
+// `levels` is given, (*levels)[d] receives frontier d, i.e. the vertices at
+// forest depth d.
 template <typename Graph>
 std::vector<vertex_id> bfs_forest(
     const Graph& g, const std::vector<vertex_id>& roots,
-    edge_map_direction dir = edge_map_direction::automatic) {
+    edge_map_direction dir = edge_map_direction::automatic,
+    std::vector<std::vector<vertex_id>>* levels = nullptr) {
   std::vector<vertex_id> parent(g.num_vertices(), kNoVertex);
   for (const vertex_id r : roots) parent[r] = r;
   vertex_subset frontier(g.num_vertices(), roots);
   while (!frontier.empty()) {
-    frontier =
-        edge_map(g, frontier, bfs_internal::bfs_tree_f{&parent}, dir);
+    auto next = edge_map(g, frontier, bfs_internal::bfs_tree_f{&parent}, dir);
+    if (levels) {
+      frontier.to_sparse();
+      levels->push_back(frontier.sparse());
+    }
+    frontier = std::move(next);
   }
   return parent;
 }

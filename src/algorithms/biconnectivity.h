@@ -3,20 +3,23 @@
 // FA-MT-RAM.
 //
 // Pipeline: connectivity labels -> one root per component -> multi-source
-// BFS spanning forest -> leaffix/rootfix computations over the BFS levels
-// (subtree Size, preorder PN, Low, High) -> critical tree edges
-// (u, p(u)) where PN(p) <= Low(u) and High(u) < PN(p) + Size(p) ->
-// connectivity on G minus critical edges. The resulting per-vertex labels
-// answer per-edge biconnectivity queries in O(1) with 2n space: a tree edge
-// gets the label of its deeper endpoint, a non-tree edge the label of
-// either endpoint (they agree, as non-tree edges are never removed).
+// BFS spanning forest, whose frontiers are its levels -> leaffix/rootfix
+// computations over those levels (subtree Size, preorder PN, Low, High) ->
+// critical tree edges (u, p(u)) where PN(p) <= Low(u) and High(u) < PN(p) +
+// Size(p) -> connectivity on G minus critical edges. The resulting
+// per-vertex labels answer per-edge biconnectivity queries in O(1) with 2n
+// space: a tree edge gets the label of its deeper endpoint, a non-tree edge
+// the label of either endpoint (they agree, as non-tree edges are never
+// removed).
 //
 // The leaffix (bottom-up) and rootfix (top-down) sums exploit that BFS
 // levels are a valid schedule: all children of a vertex live exactly one
-// level deeper, so one parallel pass per level suffices.
+// level deeper, so one parallel pass per level suffices. The BFS records
+// each frontier as it goes, so the levels are never rebuilt from the tree.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -25,6 +28,7 @@
 #include "graph/graph.h"
 #include "graph/graph_builder.h"
 #include "parlib/integer_sort.h"
+#include "parlib/monoid.h"
 #include "parlib/parallel.h"
 #include "parlib/sequence_ops.h"
 
@@ -37,65 +41,56 @@ struct rooted_forest {
   std::vector<std::vector<vertex_id>> waves;  // waves[d] = vertices at depth d
   std::vector<edge_id> child_offsets;         // CSR over children
   std::vector<vertex_id> children;
+
+  std::span<const vertex_id> children_of(vertex_id v) const {
+    return {children.data() + child_offsets[v],
+            children.data() + child_offsets[v + 1]};
+  }
+  // f(v) on every vertex, one parallel pass per level: top-down, or
+  // bottom-up (leaves first) for the leaffix sums.
+  template <typename F>
+  void for_each_level(bool bottom_up, const F& f) const {
+    for (std::size_t i = 0; i < waves.size(); ++i) {
+      const auto& wave = waves[bottom_up ? waves.size() - 1 - i : i];
+      parlib::parallel_for(0, wave.size(), [&](std::size_t j) { f(wave[j]); });
+    }
+  }
 };
 
-inline rooted_forest build_rooted_forest(std::vector<vertex_id> parents,
-                                         const std::vector<vertex_id>& roots) {
+// `levels` are the BFS's frontiers: levels[d] holds the vertices at depth d.
+inline rooted_forest build_rooted_forest(
+    std::vector<vertex_id> parents,
+    std::vector<std::vector<vertex_id>> levels) {
   const std::size_t n = parents.size();
   rooted_forest f;
   f.parents = std::move(parents);
-  // Children CSR: stable-sort non-root vertices by parent.
-  auto non_roots = parlib::filter(
-      parlib::iota<vertex_id>(n),
-      [&](vertex_id v) { return f.parents[v] != v && f.parents[v] != kNoVertex; });
+  // Children CSR: non-root vertices stably sorted by parent. Each parent's
+  // last child records the end of its run; v's children start at the
+  // largest end recorded below v (an exclusive max-scan).
+  f.children = parlib::filter(parlib::iota<vertex_id>(n), [&](vertex_id v) {
+    return f.parents[v] != v && f.parents[v] != kNoVertex;
+  });
   std::size_t bits = 1;
   while ((n >> bits) != 0) ++bits;
-  auto by_parent = non_roots;
   parlib::integer_sort_inplace(
-      by_parent, [&](vertex_id v) { return f.parents[v]; }, bits);
-  f.children = by_parent;
+      f.children, [&](vertex_id v) { return f.parents[v]; }, bits);
   f.child_offsets.assign(n + 1, 0);
-  parlib::parallel_for(0, by_parent.size(), [&](std::size_t i) {
-    if (i == 0 || f.parents[by_parent[i - 1]] != f.parents[by_parent[i]]) {
-      f.child_offsets[f.parents[by_parent[i]]] = i;
+  parlib::parallel_for(0, f.children.size(), [&](std::size_t i) {
+    const vertex_id p = f.parents[f.children[i]];
+    if (i + 1 == f.children.size() || f.parents[f.children[i + 1]] != p) {
+      f.child_offsets[p] = i + 1;
     }
   });
-  f.child_offsets[n] = by_parent.size();
-  {
-    std::vector<std::uint8_t> has(n, 0);
-    parlib::parallel_for(0, by_parent.size(), [&](std::size_t i) {
-      if (i == 0 || f.parents[by_parent[i - 1]] != f.parents[by_parent[i]]) {
-        has[f.parents[by_parent[i]]] = 1;
-      }
-    });
-    edge_id next = by_parent.size();
-    for (std::size_t v = n; v-- > 0;) {
-      if (has[v]) {
-        next = f.child_offsets[v];
-      } else {
-        f.child_offsets[v] = next;
-      }
-    }
-  }
-  // Waves.
+  parlib::scan_into(f.child_offsets, f.child_offsets,
+                    parlib::max_monoid<edge_id>());
   f.level.assign(n, 0);
-  f.waves.push_back(roots);
-  while (true) {
-    const auto& wave = f.waves.back();
-    parlib::sequence<parlib::sequence<vertex_id>> next(wave.size());
-    parlib::parallel_for(0, wave.size(), [&](std::size_t i) {
-      const vertex_id v = wave[i];
-      for (edge_id c = f.child_offsets[v]; c < f.child_offsets[v + 1]; ++c) {
-        next[i].push_back(f.children[c]);
-      }
+  for (std::size_t d = 1; d < levels.size(); ++d) {
+    const auto& level = levels[d];
+    parlib::parallel_for(0, level.size(), [&](std::size_t i) {
+      f.level[level[i]] = static_cast<std::uint32_t>(d);
     });
-    auto flat = parlib::flatten(next);
-    if (flat.empty()) break;
-    const auto depth = static_cast<std::uint32_t>(f.waves.size());
-    parlib::parallel_for(0, flat.size(),
-                         [&](std::size_t i) { f.level[flat[i]] = depth; });
-    f.waves.push_back(std::move(flat));
   }
+  f.waves = std::move(levels);
   return f;
 }
 
@@ -117,23 +112,15 @@ template <typename Graph>
 biconnectivity_result biconnectivity(const Graph& g) {
   const vertex_id n = g.num_vertices();
   auto sf = spanning_forest(g);
-  auto forest = build_rooted_forest(std::move(sf.parents), sf.roots);
+  auto forest =
+      build_rooted_forest(std::move(sf.parents), std::move(sf.levels));
   const auto& parents = forest.parents;
 
   // Leaffix: subtree sizes, bottom-up over waves.
   std::vector<std::uint64_t> size(n, 1);
-  for (std::size_t d = forest.waves.size(); d-- > 0;) {
-    const auto& wave = forest.waves[d];
-    parlib::parallel_for(0, wave.size(), [&](std::size_t i) {
-      const vertex_id v = wave[i];
-      std::uint64_t s = 1;
-      for (edge_id c = forest.child_offsets[v];
-           c < forest.child_offsets[v + 1]; ++c) {
-        s += size[forest.children[c]];
-      }
-      size[v] = s;
-    });
-  }
+  forest.for_each_level(/*bottom_up=*/true, [&](vertex_id v) {
+    for (const vertex_id ch : forest.children_of(v)) size[v] += size[ch];
+  });
 
   // Preorder numbers: trees are laid out consecutively (offset = prefix sum
   // of root subtree sizes); within a tree, rootfix top-down.
@@ -146,18 +133,13 @@ biconnectivity_result biconnectivity(const Graph& g) {
       pre[sf.roots[i]] = tree_sizes[i];
     });
   }
-  for (const auto& wave : forest.waves) {
-    parlib::parallel_for(0, wave.size(), [&](std::size_t i) {
-      const vertex_id v = wave[i];
-      std::uint64_t next = pre[v] + 1;
-      for (edge_id c = forest.child_offsets[v];
-           c < forest.child_offsets[v + 1]; ++c) {
-        const vertex_id ch = forest.children[c];
-        pre[ch] = next;
-        next += size[ch];
-      }
-    });
-  }
+  forest.for_each_level(/*bottom_up=*/false, [&](vertex_id v) {
+    std::uint64_t next = pre[v] + 1;
+    for (const vertex_id ch : forest.children_of(v)) {
+      pre[ch] = next;
+      next += size[ch];
+    }
+  });
 
   // Leaffix Low/High over preorder numbers of non-tree neighbors.
   std::vector<std::uint64_t> low(n), high(n);
@@ -175,18 +157,12 @@ biconnectivity_result biconnectivity(const Graph& g) {
     low[v] = lo;
     high[v] = hi;
   });
-  for (std::size_t d = forest.waves.size(); d-- > 0;) {
-    const auto& wave = forest.waves[d];
-    parlib::parallel_for(0, wave.size(), [&](std::size_t i) {
-      const vertex_id v = wave[i];
-      for (edge_id c = forest.child_offsets[v];
-           c < forest.child_offsets[v + 1]; ++c) {
-        const vertex_id ch = forest.children[c];
-        low[v] = std::min(low[v], low[ch]);
-        high[v] = std::max(high[v], high[ch]);
-      }
-    });
-  }
+  forest.for_each_level(/*bottom_up=*/true, [&](vertex_id v) {
+    for (const vertex_id ch : forest.children_of(v)) {
+      low[v] = std::min(low[v], low[ch]);
+      high[v] = std::max(high[v], high[ch]);
+    }
+  });
 
   // Critical tree edges (u, p(u)): subtree(u) never escapes subtree(p(u)).
   std::vector<std::uint8_t> critical(n, 0);  // indexed by child u
@@ -209,8 +185,8 @@ biconnectivity_result biconnectivity(const Graph& g) {
   auto labels = connectivity(residual);
 
   biconnectivity_result res;
-  res.parents = parents;
-  res.level = forest.level;
+  res.parents = std::move(forest.parents);
+  res.level = std::move(forest.level);
   res.vertex_labels = std::move(labels);
   res.num_critical_edges = num_critical;
   return res;

@@ -2,15 +2,20 @@
 // priority-writes and pointer-jumping, O(m log n) work and O(log^2 n) depth
 // on the PW-MT-RAM.
 //
-// Following Section 4, the full edge list is never materialized at once in
-// the driver: a constant number of *filtering steps* each (a) select the
-// ~3n/2 lightest remaining edges with an approximate k-th smallest pivot,
-// (b) run Boruvka on that prefix, and (c) pack out edges whose endpoints
-// are now in the same component. The remainder is solved by one final
-// Boruvka call. Ties are broken by original edge index, which makes the
-// chosen forest deterministic and total weight minimal.
+// Following Section 4, the whole edge list is never materialized. The first
+// filtering step samples a pivot weight from the CSR, extracts the ~3n/2
+// lightest edges straight from the graph (each undirected edge once, at its
+// lower endpoint), runs Boruvka on them, and then extracts the heavier
+// edges whose endpoints are still in different components, relabeled to
+// component ids (the pack-out). Further filtering steps, if any, repeat
+// select / Boruvka / pack-out on that remainder list, and one final Boruvka
+// call solves what is left. An edge's id is its CSR position; ties are
+// broken by it, which makes the chosen forest deterministic and total
+// weight minimal. Boruvka allocates its scratch once per call, not per
+// round.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -30,10 +35,11 @@ namespace msf_internal {
 struct indexed_edge {
   vertex_id u, v;
   std::uint32_t w;
-  std::uint64_t id;  // original edge index (tie-breaker)
+  std::uint64_t id;  // CSR position of the original edge (tie-breaker)
 };
 
-// (weight, id) packed for priority-writes: lower weight wins, then lower id.
+// (weight, index) packed for priority-writes: lower weight wins, then lower
+// index.
 inline std::uint64_t edge_priority(const indexed_edge& e, std::uint32_t idx) {
   return (static_cast<std::uint64_t>(e.w) << 32) | idx;
 }
@@ -41,34 +47,80 @@ inline std::uint64_t edge_priority(const indexed_edge& e, std::uint32_t idx) {
 inline constexpr std::uint64_t kNoPriority =
     std::numeric_limits<std::uint64_t>::max();
 
-// The edges satisfying `keep` whose endpoints lie in different components,
-// relabeled to their component ids. The filter is stable, so positions (the
-// priority tie-break) keep the original edge order.
+// Writes to `out` the edges of in[0, size) satisfying `keep` whose endpoints
+// lie in different components, relabeled to component ids. The pack is
+// stable, so positions (the priority tie-break) keep the original order.
 template <typename F>
-std::vector<indexed_edge> shortcut(const std::vector<indexed_edge>& edges,
-                                   const std::vector<vertex_id>& parents,
-                                   const F& keep) {
-  auto out = parlib::filter(edges, [&](const indexed_edge& e) {
-    return keep(e) && parents[e.u] != parents[e.v];
-  });
-  parlib::parallel_for(0, out.size(), [&](std::size_t i) {
-    out[i].u = parents[out[i].u];
-    out[i].v = parents[out[i].v];
-  });
+std::size_t shortcut(const std::vector<indexed_edge>& in, std::size_t size,
+                     std::vector<indexed_edge>& out,
+                     const std::vector<vertex_id>& parents,
+                     std::vector<std::size_t>* scratch, const F& keep) {
+  auto each = [&](std::size_t i, const auto& emit) {
+    const vertex_id pu = parents[in[i].u], pv = parents[in[i].v];
+    if (pu != pv && keep(in[i])) emit(indexed_edge{pu, pv, in[i].w, in[i].id});
+  };
+  return parlib::pack_blocks(size, each, out, 0, scratch);
+}
+
+// The CSR's edges (u, v), u < v, with keep(w) whose endpoints lie in
+// different components, relabeled to component ids, in CSR order. starts[u]
+// is u's first CSR position (prefix sums of out-degrees).
+template <typename Graph, typename Keep>
+std::vector<indexed_edge> extract(const Graph& g,
+                                  const std::vector<edge_id>& starts,
+                                  const std::vector<vertex_id>& parents,
+                                  const Keep& keep) {
+  auto each = [&](std::size_t u, const auto& emit) {
+    std::uint64_t pos = starts[u];
+    g.map_out_neighbors_early_exit(
+        static_cast<vertex_id>(u), [&](vertex_id a, vertex_id b, auto w) {
+          if (a < b && parents[a] != parents[b] && keep(w)) {
+            emit(indexed_edge{parents[a], parents[b], w, pos});
+          }
+          ++pos;
+          return true;
+        });
+  };
+  std::vector<indexed_edge> out;
+  parlib::pack_blocks(g.num_vertices(), each, out);
   return out;
 }
 
+// The original edge at CSR position p: u is the last row starting at or
+// before p (zero-degree rows share their start), then v and w by random
+// access into u's neighborhood.
+template <typename Graph>
+edge<std::uint32_t> edge_at(const Graph& g, const std::vector<edge_id>& starts,
+                            std::uint64_t p) {
+  const auto u = static_cast<vertex_id>(
+      std::upper_bound(starts.begin(), starts.end(), p) - starts.begin() - 1);
+  edge<std::uint32_t> e{u, kNoVertex, 0};
+  const std::size_t j = p - starts[u];
+  g.map_out_neighbors_range(u, j, j + 1, [&](vertex_id, vertex_id v, auto w) {
+    e.v = v;
+    e.w = w;
+  });
+  return e;
+}
+
 // One Boruvka solve over `edges` whose endpoints are component ids in the
-// global `parents` array (updated in place); appends chosen original edge
-// ids to `forest`.
+// global `parents` array (updated in place); appends chosen edge ids to
+// `forest`, which must have capacity for them. Scratch is allocated once
+// per call: each round packs the survivors into the other edge buffer.
 inline void boruvka(std::vector<vertex_id>& parents,
                     std::vector<indexed_edge> edges,
                     std::vector<std::uint64_t>& forest) {
   const std::size_t n = parents.size();
+  std::size_t size = edges.size();
+  if (size == 0) return;
   std::vector<std::uint64_t> best(n, kNoPriority);
-  while (!edges.empty()) {
+  std::vector<indexed_edge> next(size);
+  std::vector<std::uint8_t> chosen(size);
+  std::vector<std::size_t> block_counts;
+  block_counts.reserve(parlib::num_blocks(size, parlib::kSeqBlockSize));
+  while (size > 0) {
     // Min-weight incident edge per live component root.
-    parlib::parallel_for(0, edges.size(), [&](std::size_t i) {
+    parlib::parallel_for(0, size, [&](std::size_t i) {
       const auto pri = edge_priority(edges[i], static_cast<std::uint32_t>(i));
       parlib::write_min(&best[edges[i].u], pri);
       parlib::write_min(&best[edges[i].v], pri);
@@ -76,47 +128,38 @@ inline void boruvka(std::vector<vertex_id>& parents,
     // An edge is chosen if it won on either endpoint. The endpoint it won
     // on hooks onto the other endpoint; a 2-cycle (edge won on both) is
     // broken by rooting the larger endpoint.
-    std::vector<std::uint8_t> chosen(edges.size(), 0);
-    parlib::parallel_for(0, edges.size(), [&](std::size_t i) {
+    parlib::parallel_for(0, size, [&](std::size_t i) {
       const auto& e = edges[i];
       const auto pri = edge_priority(e, static_cast<std::uint32_t>(i));
       const bool won_u = best[e.u] == pri;
       const bool won_v = best[e.v] == pri;
-      if (!won_u && !won_v) return;
-      chosen[i] = 1;
+      chosen[i] = won_u || won_v;
       if (won_u && won_v) {
-        const vertex_id root = std::max(e.u, e.v);
-        const vertex_id child = std::min(e.u, e.v);
-        parents[child] = root;
+        parents[std::min(e.u, e.v)] = std::max(e.u, e.v);
       } else if (won_u) {
         parents[e.u] = e.v;
-      } else {
+      } else if (won_v) {
         parents[e.v] = e.u;
       }
     });
-    auto ids = parlib::map(edges, [](const auto& e) { return e.id; });
-    auto won_ids = parlib::pack(ids, chosen);
-    const std::size_t old_size = forest.size();
-    forest.resize(old_size + won_ids.size());
-    parlib::parallel_for(0, won_ids.size(), [&](std::size_t i) {
-      forest[old_size + i] = won_ids[i];
-    });
-    // Pointer-jump every touched vertex to its root. Jumps read parents that
-    // other jumps rewrite (to an ancestor either way), hence atomic accesses.
+    // Pointer-jump every vertex to its root and reset its winner slot.
+    // Jumps read parents that other jumps rewrite (to an ancestor either
+    // way), hence atomic accesses.
     parlib::parallel_for(0, n, [&](std::size_t v) {
       vertex_id root = static_cast<vertex_id>(v);
       while (parlib::atomic_load(&parents[root]) != root) {
         root = parlib::atomic_load(&parents[root]);
       }
       parlib::atomic_store(&parents[v], root);
+      best[v] = kNoPriority;
     });
-    // Reset winners (edges sharing an endpoint store the same value
-    // concurrently) and relabel/filter the surviving edges.
-    parlib::parallel_for(0, edges.size(), [&](std::size_t i) {
-      parlib::atomic_store(&best[edges[i].u], kNoPriority);
-      parlib::atomic_store(&best[edges[i].v], kNoPriority);
-    });
-    edges = shortcut(edges, parents, [](const indexed_edge&) { return true; });
+    auto won = [&](std::size_t i, const auto& emit) {
+      if (chosen[i]) emit(edges[i].id);
+    };
+    parlib::pack_blocks(size, won, forest, forest.size(), &block_counts);
+    size = shortcut(edges, size, next, parents, &block_counts,
+                    [](const indexed_edge&) { return true; });
+    std::swap(edges, next);
   }
 }
 
@@ -133,49 +176,63 @@ struct msf_result {
 template <typename Graph>
 msf_result msf(const Graph& g, bool use_filtering = true,
                std::size_t filter_steps = 3) {
+  using msf_internal::edge_at;
+  using msf_internal::extract;
   const vertex_id n = g.num_vertices();
-  // Each undirected edge once (u < v), with original indices.
-  auto all = g.edges();
-  auto half = parlib::filter(all, [](const auto& e) { return e.u < e.v; });
-  std::vector<msf_internal::indexed_edge> edges(half.size());
-  parlib::parallel_for(0, half.size(), [&](std::size_t i) {
-    edges[i] = {half[i].u, half[i].v, half[i].w, i};
-  });
-  std::vector<edge<std::uint32_t>> originals(half.size());
-  parlib::parallel_for(0, half.size(),
-                       [&](std::size_t i) { originals[i] = half[i]; });
-
+  std::vector<edge_id> starts(static_cast<std::size_t>(n) + 1, 0);
   std::vector<vertex_id> parents(n);
   parlib::parallel_for(0, n, [&](std::size_t v) {
+    starts[v] = g.out_degree(static_cast<vertex_id>(v));
     parents[v] = static_cast<vertex_id>(v);
   });
+  const edge_id m = parlib::scan_inplace(starts);
   std::vector<std::uint64_t> forest;
+  forest.reserve(n);
   msf_result res;
 
-  if (use_filtering) {
-    const std::size_t target = 3 * static_cast<std::size_t>(n) / 2 + 1;
-    for (std::size_t step = 0;
+  const std::size_t target = 3 * static_cast<std::size_t>(n) / 2 + 1;
+  std::vector<msf_internal::indexed_edge> edges;
+  if (use_filtering && filter_steps > 0 && m / 2 > 2 * target) {
+    // Step 1 reads the CSR. The pivot's rank among weights sampled over
+    // all m positions (two per undirected edge) scales to target.
+    ++res.num_filter_steps;
+    const parlib::random rng(0x317);
+    auto sample = parlib::sorted(parlib::tabulate<std::uint32_t>(
+        std::min<edge_id>(1024, m), [&](std::size_t i) {
+          return edge_at(g, starts, rng.ith_rand(i) % m).w;
+        }));
+    const std::uint32_t pivot =
+        sample[std::min(sample.size() - 1, 2 * target * sample.size() / m)];
+    msf_internal::boruvka(
+        parents,
+        extract(g, starts, parents,
+                [&](std::uint32_t w) { return w <= pivot; }),
+        forest);
+    // Pack out: the heavy edges whose endpoints are still apart.
+    edges = extract(g, starts, parents,
+                    [&](std::uint32_t w) { return w > pivot; });
+    for (std::size_t step = 1;
          step < filter_steps && edges.size() > 2 * target; ++step) {
       ++res.num_filter_steps;
       auto weights = parlib::map(edges, [](const auto& e) { return e.w; });
-      const std::uint32_t pivot = parlib::approximate_kth_smallest(
+      const std::uint32_t next_pivot = parlib::approximate_kth_smallest(
           weights, target, parlib::random(0x317 + step));
       auto light = parlib::filter(
-          edges, [&](const auto& e) { return e.w <= pivot; });
+          edges, [&](const auto& e) { return e.w <= next_pivot; });
       if (light.empty() || light.size() == edges.size()) break;
       msf_internal::boruvka(parents, std::move(light), forest);
-      // Pack out: heavy edges whose endpoints merged are shortcut.
-      edges = msf_internal::shortcut(
-          edges, parents,
-          [&](const msf_internal::indexed_edge& e) { return e.w > pivot; });
+      decltype(edges) rest;
+      msf_internal::shortcut(edges, edges.size(), rest, parents, nullptr,
+                             [&](const auto& e) { return e.w > next_pivot; });
+      edges = std::move(rest);
     }
+  } else {
+    edges = extract(g, starts, parents, [](std::uint32_t) { return true; });
   }
   msf_internal::boruvka(parents, std::move(edges), forest);
 
-  res.forest.resize(forest.size());
-  parlib::parallel_for(0, forest.size(), [&](std::size_t i) {
-    res.forest[i] = originals[forest[i]];
-  });
+  res.forest = parlib::map(
+      forest, [&](std::uint64_t p) { return edge_at(g, starts, p); });
   auto ws = parlib::map(res.forest, [](const auto& e) {
     return static_cast<std::uint64_t>(e.w);
   });

@@ -24,14 +24,19 @@ struct spanning_forest_result {
   std::vector<vertex_id> parents;
   std::vector<vertex_id> roots;            // one per component
   std::vector<vertex_id> component_label;  // connectivity labels
+  // levels[d] = the vertices at forest depth d: the BFS's frontier d, as
+  // recorded by the BFS itself.
+  std::vector<std::vector<vertex_id>> levels;
 };
 
 template <typename Graph>
 spanning_forest_result spanning_forest(const Graph& g) {
-  auto labels = connectivity(g);
-  auto roots = component_representatives(labels);
-  auto parents = bfs_forest(g, roots);
-  return {std::move(parents), std::move(roots), std::move(labels)};
+  spanning_forest_result res;
+  res.component_label = connectivity(g);
+  res.roots = component_representatives(res.component_label);
+  res.parents = bfs_forest(g, res.roots, edge_map_direction::automatic,
+                           &res.levels);
+  return res;
 }
 
 // Spanning forest extracted directly from the connectivity recursion —

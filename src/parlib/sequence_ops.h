@@ -1,10 +1,11 @@
 // The parallel sequence primitives of Section 3: scan, reduce, map/tabulate,
-// filter, pack, pack_index and flatten. All are work-efficient (O(n) work)
-// and low-depth: they use the standard blocked two-pass scheme — a parallel
-// pass computing per-block summaries, a (short) scan over the block
-// summaries, and a parallel pass writing block-local results. With block
-// count ~ n / BLOCK the summary scan is negligible, giving O(n) work and
-// O(BLOCK + n/BLOCK) ~ polylog effective depth for the sizes we run.
+// filter, pack, pack_index and the blocked pack they share. All are
+// work-efficient (O(n) work) and low-depth: they use the standard blocked
+// two-pass scheme — a parallel pass computing per-block summaries, a
+// (short) scan over the block summaries, and a parallel pass writing
+// block-local results. With block count ~ n / BLOCK the summary scan is
+// negligible, giving O(n) work and O(BLOCK + n/BLOCK) ~ polylog effective
+// depth for the sizes we run.
 #pragma once
 
 #include <cassert>
@@ -173,73 +174,76 @@ scan(const In& in, const Monoid& m) {
 
 // ------------------------------------------------------------ filter/pack
 
+// Blocked two-pass pack over [0, n): each(i, emit) calls emit(x) on the
+// outputs of element i in order, once per block to count them and, after
+// the scan of the block counts, once more to write them to out[base + ...).
+// `out` grows to fit. `scratch`, if given, holds the block counts, so a
+// caller can reuse it across calls. Returns the number of outputs.
+template <typename T, typename Each>
+std::size_t pack_blocks(std::size_t n, const Each& each, sequence<T>& out,
+                        std::size_t base = 0,
+                        sequence<std::size_t>* scratch = nullptr) {
+  sequence<std::size_t> local;
+  auto& offsets = scratch ? *scratch : local;
+  offsets.resize(num_blocks(n, kSeqBlockSize));
+  auto for_block = [&](std::size_t b, const auto& emit) {
+    const std::size_t hi = std::min(n, (b + 1) * kSeqBlockSize);
+    for (std::size_t i = b * kSeqBlockSize; i < hi; ++i) each(i, emit);
+  };
+  parallel_for(
+      0, offsets.size(),
+      [&](std::size_t b) {
+        std::size_t c = 0;
+        for_block(b, [&](const T&) { ++c; });
+        offsets[b] = c;
+      },
+      1);
+  const std::size_t total = scan_inplace(offsets);
+  if (out.size() < base + total) out.resize(base + total);
+  parallel_for(
+      0, offsets.size(),
+      [&](std::size_t b) {
+        std::size_t k = base + offsets[b];
+        for_block(b, [&](const T& x) { out[k++] = x; });
+      },
+      1);
+  return total;
+}
+
 // Returns elements of `in` satisfying `pred`, preserving order.
 template <typename In, typename F>
 auto filter(const In& in, const F& pred) {
-  using T = std::decay_t<decltype(in[0])>;
-  const std::size_t n = in.size();
-  const std::size_t nb = num_blocks(n, kSeqBlockSize);
-  if (nb <= 1) {
-    sequence<T> out;
-    for (std::size_t i = 0; i < n; ++i)
-      if (pred(in[i])) out.push_back(in[i]);
-    return out;
+  sequence<std::decay_t<decltype(in[0])>> out;
+  auto each = [&](std::size_t i, const auto& emit) {
+    if (pred(in[i])) emit(in[i]);
+  };
+  if (in.size() > kSeqBlockSize) {
+    pack_blocks(in.size(), each, out);
+  } else {
+    for (std::size_t i = 0; i < in.size(); ++i)
+      each(i, [&](const auto& x) { out.push_back(x); });
   }
-  sequence<std::size_t> counts(nb);
-  parallel_for(
-      0, nb,
-      [&](std::size_t b) {
-        const std::size_t lo = b * kSeqBlockSize;
-        const std::size_t hi = std::min(n, lo + kSeqBlockSize);
-        std::size_t c = 0;
-        for (std::size_t i = lo; i < hi; ++i) c += pred(in[i]) ? 1 : 0;
-        counts[b] = c;
-      },
-      1);
-  const std::size_t total = scan_inplace(counts);
-  sequence<T> out(total);
-  parallel_for(
-      0, nb,
-      [&](std::size_t b) {
-        const std::size_t lo = b * kSeqBlockSize;
-        const std::size_t hi = std::min(n, lo + kSeqBlockSize);
-        std::size_t k = counts[b];
-        for (std::size_t i = lo; i < hi; ++i)
-          if (pred(in[i])) out[k++] = in[i];
-      },
-      1);
   return out;
 }
 
 // Keep in[i] where flags[i] is truthy.
 template <typename In, typename Flags>
 auto pack(const In& in, const Flags& flags) {
-  using T = std::decay_t<decltype(in[0])>;
-  const std::size_t n = in.size();
-  assert(flags.size() == n);
-  sequence<std::size_t> idx(n);
-  parallel_for(0, n,
-               [&](std::size_t i) { idx[i] = flags[i] ? 1 : 0; });
-  const std::size_t total = scan_inplace(idx);
-  sequence<T> out(total);
-  parallel_for(0, n, [&](std::size_t i) {
-    if (flags[i]) out[idx[i]] = in[i];
-  });
+  assert(flags.size() == in.size());
+  sequence<std::decay_t<decltype(in[0])>> out;
+  pack_blocks(in.size(), [&](std::size_t i, const auto& emit) {
+    if (flags[i]) emit(in[i]);
+  }, out);
   return out;
 }
 
 // Indices i (as IdxT) where flags[i] is truthy.
 template <typename IdxT, typename Flags>
 sequence<IdxT> pack_index(const Flags& flags) {
-  const std::size_t n = flags.size();
-  sequence<std::size_t> idx(n);
-  parallel_for(0, n,
-               [&](std::size_t i) { idx[i] = flags[i] ? 1 : 0; });
-  const std::size_t total = scan_inplace(idx);
-  sequence<IdxT> out(total);
-  parallel_for(0, n, [&](std::size_t i) {
-    if (flags[i]) out[idx[i]] = static_cast<IdxT>(i);
-  });
+  sequence<IdxT> out;
+  pack_blocks(flags.size(), [&](std::size_t i, const auto& emit) {
+    if (flags[i]) emit(static_cast<IdxT>(i));
+  }, out);
   return out;
 }
 
@@ -247,35 +251,12 @@ sequence<IdxT> pack_index(const Flags& flags) {
 template <typename In, typename F>
 auto map_maybe(const In& in, const F& f) {
   using Opt = std::decay_t<decltype(f(in[0]))>;
-  using T = typename Opt::value_type;
-  const std::size_t n = in.size();
-  sequence<Opt> tmp(n);
-  parallel_for(0, n, [&](std::size_t i) { tmp[i] = f(in[i]); });
-  sequence<std::size_t> idx(n);
-  parallel_for(0, n,
-               [&](std::size_t i) { idx[i] = tmp[i].has_value() ? 1 : 0; });
-  const std::size_t total = scan_inplace(idx);
-  sequence<T> out(total);
-  parallel_for(0, n, [&](std::size_t i) {
-    if (tmp[i].has_value()) out[idx[i]] = *tmp[i];
-  });
-  return out;
-}
-
-// --------------------------------------------------------------- flatten
-
-template <typename T>
-sequence<T> flatten(const sequence<sequence<T>>& seqs) {
-  const std::size_t k = seqs.size();
-  sequence<std::size_t> offsets(k);
-  parallel_for(0, k, [&](std::size_t i) { offsets[i] = seqs[i].size(); });
-  const std::size_t total = scan_inplace(offsets);
-  sequence<T> out(total);
-  parallel_for(0, k, [&](std::size_t i) {
-    const auto& s = seqs[i];
-    std::size_t off = offsets[i];
-    for (std::size_t j = 0; j < s.size(); ++j) out[off + j] = s[j];
-  });
+  sequence<Opt> tmp(in.size());
+  parallel_for(0, in.size(), [&](std::size_t i) { tmp[i] = f(in[i]); });
+  sequence<typename Opt::value_type> out;
+  pack_blocks(tmp.size(), [&](std::size_t i, const auto& emit) {
+    if (tmp[i]) emit(*tmp[i]);
+  }, out);
   return out;
 }
 

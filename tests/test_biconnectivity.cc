@@ -1,5 +1,6 @@
 // Biconnectivity vs the Hopcroft-Tarjan oracle: the edge partition into
 // biconnected components must match exactly.
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -7,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "algorithms/biconnectivity.h"
+#include "graph/generators.h"
 #include "seq/reference.h"
 #include "test_graphs.h"
 
@@ -121,6 +123,56 @@ TEST(Biconnectivity, CompleteGraphIsOneComponent) {
 
 TEST(Biconnectivity, DisconnectedGraphHandled) {
   auto g = gbbs::testing::two_components(50);
+  check_against_oracle(g);
+}
+
+// The forest's levels are the BFS frontiers: on a graph with a torus, a
+// path, a star and isolated vertices, each vertex's level is its hop
+// distance from its component's root, the recorded levels partition the
+// vertices, and each parent sits exactly one level above its child.
+TEST(Biconnectivity, LevelsAreBfsFrontiers) {
+  const vertex_id torus_n = 4 * 4 * 4, path_n = 20, star_n = 15;
+  auto edges = gbbs::torus3d_edges(4);
+  for (const auto& e : gbbs::path_edges(path_n)) {
+    edges.push_back({torus_n + e.u, torus_n + e.v, {}});
+  }
+  for (const auto& e : gbbs::star_edges(star_n)) {
+    edges.push_back({torus_n + path_n + e.u, torus_n + path_n + e.v, {}});
+  }
+  const vertex_id n = torus_n + path_n + star_n + 5;  // 5 isolated
+  auto g = gbbs::build_symmetric_graph<gbbs::empty_weight>(n, edges);
+  auto res = gbbs::biconnectivity(g);
+  std::vector<int> covered(n, 0);
+  for (vertex_id r = 0; r < n; ++r) {
+    if (res.parents[r] != r) continue;
+    const auto dist = gbbs::seq::bfs(g, r);
+    for (vertex_id v = 0; v < n; ++v) {
+      if (dist[v] == gbbs::seq::kInfDist) continue;
+      ++covered[v];
+      EXPECT_EQ(res.level[v], dist[v]) << "root " << r << " vertex " << v;
+    }
+  }
+  for (vertex_id v = 0; v < n; ++v) {
+    ASSERT_EQ(covered[v], 1) << v;
+    if (res.parents[v] != v) {
+      EXPECT_EQ(res.level[res.parents[v]] + 1, res.level[v]) << v;
+    }
+  }
+  auto sf = gbbs::spanning_forest(g);
+  std::vector<int> seen(n, 0);
+  for (std::size_t d = 0; d < sf.levels.size(); ++d) {
+    for (const vertex_id v : sf.levels[d]) {
+      ++seen[v];
+      EXPECT_EQ(res.level[v], d) << v;
+      if (d > 0) {
+        ASSERT_NE(sf.parents[v], v);
+        EXPECT_EQ(res.level[sf.parents[v]] + 1, d) << v;
+      } else {
+        EXPECT_EQ(sf.parents[v], v);
+      }
+    }
+  }
+  for (vertex_id v = 0; v < n; ++v) EXPECT_EQ(seen[v], 1) << v;
   check_against_oracle(g);
 }
 

@@ -126,6 +126,70 @@ TEST(Msf, ForestEqualsIndexTieBrokenKruskal) {
   }
 }
 
+// A dense seeded graph, so filtering runs past its first (CSR-read) step:
+// light 4-cliques hold the step-1 edges, and the heavy random edges
+// between cliques outlive it. Heavy weights take 256 values, so every
+// later pivot splits a class of tied edges. Zero-degree rows sit at 0,
+// in the middle and at n - 1, next to a one-edge component, so forest ids
+// map back to edges through prefix sums that repeat at every empty row.
+// The exact forest must equal index-tie-broken Kruskal, filtered and plain.
+TEST(Msf, MultiStepForestOverEmptyRowsEqualsKruskal) {
+  const vertex_id n = 1024;
+  const vertex_id mid = n / 2;
+  // Ids [0, n - 5) map onto [1, n - 3) minus `mid`; n - 3 and n - 2 form
+  // the one-edge component.
+  auto id = [&](vertex_id x) { return x + 1 + (x + 1 >= mid ? 1 : 0); };
+  for (std::uint64_t seed : {5ull, 17ull}) {
+    gbbs::edge_list cliques;
+    for (vertex_id c = 0; c + 4 <= n - 5; c += 4) {
+      for (vertex_id a = c; a < c + 4; ++a) {
+        for (vertex_id b = a + 1; b < c + 4; ++b) cliques.push_back({a, b, {}});
+      }
+    }
+    auto edges = gbbs::with_random_weights(cliques, 1u << 10, seed);
+    for (auto e : gbbs::with_random_weights(
+             gbbs::erdos_renyi_edges(n - 5, 60000, seed), 256, seed)) {
+      edges.push_back({e.u, e.v, e.w + (1u << 10)});
+    }
+    for (auto& e : edges) {
+      e.u = id(e.u);
+      e.v = id(e.v);
+    }
+    edges.push_back({n - 3, n - 2, 7});
+    auto g = gbbs::build_symmetric_graph<std::uint32_t>(n, edges);
+    ASSERT_EQ(g.out_degree(0), 0u);
+    ASSERT_EQ(g.out_degree(mid), 0u);
+    ASSERT_EQ(g.out_degree(n - 1), 0u);
+    auto flat = g.edges();
+    auto half = parlib::filter(flat, [](const auto& e) { return e.u < e.v; });
+    std::stable_sort(half.begin(), half.end(),
+                     [](const auto& a, const auto& b) { return a.w < b.w; });
+    parlib::union_find uf(n);
+    std::set<std::pair<vertex_id, vertex_id>> expected;
+    std::uint64_t expected_weight = 0;
+    for (const auto& e : half) {
+      if (uf.unite(e.u, e.v)) {
+        expected.insert({e.u, e.v});
+        expected_weight += e.w;
+      }
+    }
+    for (bool filtering : {true, false}) {
+      auto res = gbbs::msf(g, filtering);
+      if (filtering) {
+        EXPECT_GE(res.num_filter_steps, 2u) << "seed " << seed;
+      }
+      std::set<std::pair<vertex_id, vertex_id>> got;
+      for (const auto& e : res.forest) {
+        ASSERT_LT(e.u, e.v);
+        got.insert({e.u, e.v});
+      }
+      EXPECT_EQ(got, expected) << "seed " << seed << " filtering "
+                               << filtering;
+      EXPECT_EQ(res.total_weight, expected_weight);
+    }
+  }
+}
+
 TEST(Msf, PathUsesAllEdges) {
   auto base = gbbs::path_edges(40);
   auto g = gbbs::build_symmetric_graph<std::uint32_t>(

@@ -1,4 +1,4 @@
-// Tests for scan, reduce, filter, pack, pack_index, flatten, map_maybe —
+// Tests for scan, reduce, filter, pack, pack_index, map_maybe, pack_blocks —
 // including parameterized sweeps over sizes that cross block boundaries.
 #include <cstdint>
 #include <numeric>
@@ -124,25 +124,47 @@ TEST(SequenceOps, MapMaybeDropsEmpties) {
   for (std::size_t i = 0; i < got.size(); ++i) ASSERT_EQ(got[i], i * 50);
 }
 
-TEST(SequenceOps, FlattenConcatenatesInOrder) {
-  sequence<sequence<int>> seqs = {{1, 2}, {}, {3}, {4, 5, 6}, {}};
-  auto flat = parlib::flatten(seqs);
-  EXPECT_EQ(flat, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+TEST(SequenceOps, PackBlocksEmitsSeveralPerElementInOrder) {
+  // Element i emits i % 3 copies of itself, across many blocks.
+  const std::size_t n = 3 * parlib::kSeqBlockSize + 17;
+  sequence<std::uint32_t> out;
+  const std::size_t total = parlib::pack_blocks(
+      n,
+      [](std::size_t i, const auto& emit) {
+        for (std::size_t c = 0; c < i % 3; ++c) {
+          emit(static_cast<std::uint32_t>(i));
+        }
+      },
+      out);
+  std::vector<std::uint32_t> expected;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t c = 0; c < i % 3; ++c) {
+      expected.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  EXPECT_EQ(total, expected.size());
+  EXPECT_EQ(out, expected);
 }
 
-TEST(SequenceOps, FlattenManySmall) {
-  const std::size_t k = 5000;
-  sequence<sequence<std::uint32_t>> seqs(k);
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t len = parlib::hash64(i) % 4;
-    for (std::size_t j = 0; j < len; ++j)
-      seqs[i].push_back(static_cast<std::uint32_t>(total + j));
-    total += len;
+TEST(SequenceOps, PackBlocksAppendsAtBaseAndReusesScratch) {
+  sequence<std::size_t> scratch;
+  sequence<std::uint32_t> out;
+  out.reserve(20000);
+  std::size_t expected_size = 0;
+  // Shrinking inputs, as in rounds that reuse one block-count buffer.
+  for (std::size_t n : {9000u, 5000u, 100u, 0u}) {
+    const std::size_t base = out.size();
+    const std::size_t total = parlib::pack_blocks(
+        n,
+        [](std::size_t i, const auto& emit) {
+          if (i % 2 == 0) emit(static_cast<std::uint32_t>(i));
+        },
+        out, base, &scratch);
+    ASSERT_EQ(total, (n + 1) / 2);
+    expected_size += total;
+    ASSERT_EQ(out.size(), expected_size);
+    for (std::size_t k = 0; k < total; ++k) ASSERT_EQ(out[base + k], 2 * k);
   }
-  auto flat = parlib::flatten(seqs);
-  ASSERT_EQ(flat.size(), total);
-  for (std::size_t i = 0; i < total; ++i) ASSERT_EQ(flat[i], i);
 }
 
 TEST(SequenceOps, ScanWithMaxMonoid) {
