@@ -166,13 +166,14 @@ publish_sweep_result run_publish_sweep(std::uint32_t scale,
   return res;
 }
 
-// Overload sweep (the robustness acceptance row): an open-loop burst far
-// above service capacity against a bounded queue with the brownout
-// ladder armed and probabilistic execution-delay fault injection, the
-// analytics share carrying deadlines. The gated metric is the point-read
-// p99 — under overload it must stay bounded (queue cap + shedding keep
-// the tail finite) while analytics are degraded / shed / timed out; the
-// count fields record how the ladder absorbed the burst.
+// Overload sweep (the robustness acceptance row): an open-loop analytics
+// burst far above service capacity against a bounded queue with the
+// brownout ladder armed and probabilistic execution-delay fault
+// injection, the analytics carrying deadlines, while a second client
+// sends point reads. The gated metric is the point-read p99 — under
+// overload it must stay bounded (point reads run inline, never behind
+// the queue) while analytics are degraded / shed / timed out; the count
+// fields record how the ladder absorbed the burst.
 struct overload_result {
   double wall_s = 0;
   bench::sample_stats point_latency;  // ok point reads only
@@ -208,7 +209,7 @@ overload_result run_overload(gbbs::graph<empty_weight> seed,
   freg.reset();
   freg.set_seed(7);
   // 5% of executed queries stall 5ms — deterministic in (seed, hit index),
-  // so the run is reproducible across invocations.
+  // so the stall count is the same across invocations.
   freg.configure("serve.exec.delay",
                  gbbs::robust::failpoint_mode::probability, 0.05, 0, 5000);
 
@@ -221,22 +222,31 @@ overload_result run_overload(gbbs::graph<empty_weight> seed,
     gbbs::serve::query_engine<empty_weight> engine(
         mgr.store(), &mgr.overlay(), /*num_readers=*/2, opts);
     parlib::random rng(23);
-    std::vector<std::future<query_result>> futs;
-    futs.reserve(num_queries);
-    for (std::size_t i = 0; i < num_queries; ++i) {
-      gbbs::serve::query q;
-      if (i % 4 == 3) {
-        q = {gbbs::serve::query_kind::bfs_distance,
-             static_cast<vertex_id>(rng.ith_rand(2 * i) % n),
-             static_cast<vertex_id>(rng.ith_rand(2 * i + 1) % n)};
-        q.priority = gbbs::serve::query_priority::low;
-        q.deadline_s = 0.010;
-      } else {
-        q = {gbbs::serve::query_kind::degree,
-             static_cast<vertex_id>(rng.ith_rand(2 * i) % n), 0};
+    // Every fourth query is a low-priority bfs with a deadline, the rest
+    // degree reads. The two streams come from separate client threads:
+    // point reads execute inline on their submitting thread, where the
+    // injected delays stall them, and must not pace the analytics burst.
+    std::vector<std::future<query_result>> futs(num_queries);
+    const auto submit_every = [&](bool analytics) {
+      for (std::size_t i = 0; i < num_queries; ++i) {
+        if ((i % 4 == 3) != analytics) continue;
+        gbbs::serve::query q;
+        if (analytics) {
+          q = {gbbs::serve::query_kind::bfs_distance,
+               static_cast<vertex_id>(rng.ith_rand(2 * i) % n),
+               static_cast<vertex_id>(rng.ith_rand(2 * i + 1) % n)};
+          q.priority = gbbs::serve::query_priority::low;
+          q.deadline_s = 0.010;
+        } else {
+          q = {gbbs::serve::query_kind::degree,
+               static_cast<vertex_id>(rng.ith_rand(2 * i) % n), 0};
+        }
+        futs[i] = engine.submit(q);
       }
-      futs.push_back(engine.submit(q));
-    }
+    };
+    std::thread point_client(submit_every, false);
+    submit_every(true);
+    point_client.join();
     for (std::size_t i = 0; i < futs.size(); ++i) {
       const auto r = futs[i].get();
       switch (r.status) {
@@ -329,11 +339,13 @@ cached_analytics_result run_cached_analytics(
     }
   });
 
-  // Invalidation precision, counter-verified on a point read whose
-  // read-set is exactly {bucket(u)}: a bucket-disjoint batch must keep
-  // the entry hot; a batch touching u's bucket must evict it.
-  const vertex_id a = qs[0].u;
-  const gbbs::serve::query qa{gbbs::serve::query_kind::degree, a, 0};
+  // Invalidation precision, counter-verified on a bfs from vertex n, one
+  // past the graph: an out-of-range vertex is an isolated singleton, so
+  // the read-set is exactly {bucket(n)} (point reads are not cached). A
+  // bucket-disjoint batch must keep the entry hot; a batch touching n's
+  // bucket (and growing the graph to reach n) must evict it.
+  const vertex_id a = n;
+  const gbbs::serve::query qa{gbbs::serve::query_kind::bfs_distance, a, a};
   (void)engine.submit(qa).get();  // prime: the entry is cached after this
   vertex_id w = (a + 1) % n;
   while (gbbs::serve::cache_bucket_of(w) == gbbs::serve::cache_bucket_of(a)) {
@@ -374,7 +386,7 @@ cached_analytics_result run_cached_analytics(
 
 // Sharded point reads: the same stream ingested through the multi-writer
 // sharded path while reader threads issue degree/neighbors queries that
-// the engine routes to the owning shard's seqlock overlay (shard-apply
+// the engine routes to the owning shard's overlay (shard-apply
 // freshness — no composite pin on the point-read path).
 struct sharded_serve_result {
   double writer_s = 0;

@@ -6,7 +6,7 @@
 //   ingest.normalize        raw batch -> sorted, deduped, mirrored batch
 //   ingest.apply            delta-overlay merge of a normalized batch
 //   ingest.connectivity     incremental connectivity + link tracking
-//   ingest.overlay_refresh  overlay-index distill + seqlock publish
+//   ingest.overlay_refresh  overlay-index distill + publish
 //   ingest.publish          version publish into the snapshot store
 // Sharded-ingest stages (sharded_ingest.h; the coordinator emits
 // normalize/split/publish, each shard worker emits apply/refresh on its

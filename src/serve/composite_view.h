@@ -133,7 +133,7 @@ class composite_view {
 };
 
 // Read-side routing table for the sharded ingest path: the owning
-// shard's seqlock overlay_view, per vertex. Built by
+// shard's overlay_view, per vertex. Built by
 // sharded_snapshot_manager::router(); the referenced views must outlive
 // every engine holding the router. Point reads keyed on a vertex go to
 // owner(u)'s freshest index — shard-apply fresh, no cross-shard

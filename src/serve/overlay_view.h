@@ -2,7 +2,7 @@
 // analytics from the *uncompacted* delta overlay, so read freshness no
 // longer waits for publish. The writer distills the dynamic graph's
 // overlay into an immutable overlay_snapshot after every ingest and hands
-// it to readers through a seqlock-style epoch (overlay_view below).
+// it to readers through one shared-pointer cell (overlay_view below).
 //
 // The index is *persistent* (in the functional-data-structure sense): it
 // is a power-of-two array of immutable buckets, each bucket the sorted
@@ -25,29 +25,26 @@
 // neighborhood of u is the same base-vs-delta two-pointer merge
 // dynamic_graph itself uses, executed against frozen shared data.
 //
-// Publication (overlay_view) is a seqlock over the (epoch, index) pair:
-// the writer bumps the sequence to odd, swaps the index pointer, bumps to
-// even; readers retry while the sequence is odd or moved. Unlike a
-// classic seqlock the protected payload is an immutable refcounted
-// snapshot, so a reader can never observe torn data — the seqlock's only
-// job is the freshness guarantee: once ingest() has returned, a
-// subsequent read() observes an index whose epoch covers that ingest
-// (read-your-writes for the single-writer serving loop), and epochs are
-// monotone across reads.
+// Publication (overlay_view) swaps the index pointer in a
+// parlib::atomic_shared_ptr. The payload is an immutable refcounted
+// snapshot, so a reader can never observe torn data; the cell's lock
+// orders every read against every swap, which gives the freshness
+// guarantee: once ingest() has returned, a subsequent read() observes an
+// index whose epoch covers that ingest (read-your-writes for the
+// single-writer serving loop), and epochs are monotone across reads.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "dynamic/dynamic_graph.h"
 #include "graph/graph.h"
+#include "parlib/atomic_shared_ptr.h"
 #include "serve/component_view.h"
 
 namespace gbbs::serve {
@@ -327,22 +324,14 @@ std::shared_ptr<const overlay_snapshot<W>> build_overlay_snapshot(
   return idx;
 }
 
-// Seqlock-style publication of the freshest overlay_snapshot: single
-// writer swaps, any number of readers load. See file header for the
-// protocol and the freshness guarantee.
+// Publication of the freshest overlay_snapshot: single writer swaps, any
+// number of readers load. See file header for the freshness guarantee.
 template <typename W>
 class overlay_view {
  public:
   // Freshest index, or null if the writer has not published one yet.
   std::shared_ptr<const overlay_snapshot<W>> read() const {
-    for (;;) {
-      const std::uint64_t s1 = seq_.load(std::memory_order_acquire);
-      if ((s1 & 1) == 0) {
-        auto p = idx_.load(std::memory_order_acquire);
-        if (seq_.load(std::memory_order_acquire) == s1) return p;
-      }
-      std::this_thread::yield();  // writer mid-swap; the window is tiny
-    }
+    return idx_.load();
   }
 
   // Epoch of the freshest index (0 before the first refresh).
@@ -353,14 +342,11 @@ class overlay_view {
 
   // Writer side: install a new index. Not reentrant.
   void refresh(std::shared_ptr<const overlay_snapshot<W>> idx) {
-    seq_.fetch_add(1, std::memory_order_acq_rel);  // odd: swap in progress
-    idx_.store(std::move(idx), std::memory_order_release);
-    seq_.fetch_add(1, std::memory_order_release);  // even: stable
+    idx_.store(std::move(idx));
   }
 
  private:
-  std::atomic<std::uint64_t> seq_{0};
-  std::atomic<std::shared_ptr<const overlay_snapshot<W>>> idx_{nullptr};
+  parlib::atomic_shared_ptr<const overlay_snapshot<W>> idx_;
 };
 
 }  // namespace gbbs::serve

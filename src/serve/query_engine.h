@@ -1,4 +1,12 @@
-// Reader pool: N threads draining a queue of typed queries.
+// Query engine: typed queries against the serving views. Point reads
+// (degree / neighbors / connected / component, is_point_read) execute on
+// the submitting thread inside submit(); analytics and standing-query
+// re-evaluations go through a queue drained by a pool of N reader
+// threads. A point read costs well under a microsecond, less than a queue
+// hand-off, a reader wake-up or a cache round-trip would; it never waits
+// behind a traversal holding the readers. Both run one execute path
+// (execute_and_account), so routing, statuses, stage accounting, spans
+// and exemplars are the same wherever a query runs.
 //
 // Routing (select_view). Each query is planned once — which view serves
 // it — and executed once against that plan; query_result::route reports
@@ -13,7 +21,8 @@
 //   any                none            any                       pinned
 //   degree, neighbors  shard router    -                         overlay
 //   other kinds        shard router    any                       pinned
-//   any non-stale      cache wired     read-set untouched        cache
+//   analytics,         cache wired     read-set untouched        cache
+//     non-stale
 //
 // `overlay` is the freshest overlay index (every ingest that returned
 // before the read); analytics traverse it fused, so no query builds the
@@ -25,22 +34,28 @@
 // the fresh view. An overlay engine with no index yet pins; nothing
 // published resolves unavailable.
 //
-// The pool runs concurrently with the single writer publishing into the
-// same snapshot_store — admission control is the lock-free pin (or the
-// seqlock overlay read), so readers never block ingest and ingest never
-// blocks readers; the submission queue itself is a plain mutex + condvar
-// (contended only at enqueue/dequeue, not during execution).
+// Queries run concurrently with the single writer publishing into the
+// same snapshot_store — a query holds the lock-free pin (or the overlay
+// index it read), so readers never block ingest and ingest never blocks
+// readers; the submission queue itself is a plain mutex + condvar
+// (contended only at admission and dequeue, not during execution).
 //
 // Admission control. The submit queue can be bounded
 // (query_engine_options::max_queue) so an ingest-driven query burst
 // cannot grow it without limit: `reject` resolves overflowing submits
 // immediately with status = rejected (dropped() counts them); `block`
-// makes submit wait for space — backpressure on the producer.
+// makes submit wait for space — backpressure on the producer. Point reads
+// pass the same locked admission block as analytics although they take
+// no queue slot: rejected after stop(), waiting under `block`, rejected
+// by serve.submit.saturate or a hard-full queue, never brownout-shed but
+// still ticking the ladder. Only what follows admission differs: they
+// execute inline instead of being queued. submitted/completed count them
+// too, so drain() and completed() cover every admitted query.
 //
-// Robustness (PR 8). Queries may carry a relative deadline: one that
+// Robustness. Queries may carry a relative deadline: one that
 // expires while queued resolves timed_out without executing, and one that
-// expires mid-flight is stopped cooperatively — the reader binds a
-// cancellation token (parlib/cancellation.h) for the execution, edge_map
+// expires mid-flight is stopped cooperatively — the executing thread binds
+// a cancellation token (parlib/cancellation.h) for the execution, edge_map
 // and the bucketing executor poll it, and par_do propagates it into
 // stolen subtasks, so the whole traversal tree unwinds and the partial
 // result is discarded. Every future resolves with exactly one
@@ -48,8 +63,10 @@
 // walks the degradation ladder documented on query_engine_options —
 // degrade analytics to the published merged CSR (bounded staleness),
 // then shed by priority — keeping point reads live until the queue is
-// hard-full. Failpoints (robust/failpoint.h) can force every one of
-// these paths deterministically.
+// hard-full; they run on the submitting thread, so no queued analytics
+// delays them. Failpoints (robust/failpoint.h) can force every one of
+// these paths deterministically; serve.exec.delay stalls inline point
+// reads on the submitting thread.
 //
 // SLO + stage accounting (the obs layer). Every query is decomposed into
 // the three pipeline stages — queue wait (submit -> dequeue), view
@@ -66,7 +83,8 @@
 // violations plus the queue-wait and execute breakdown per kind — the
 // numbers run_serve prints and bench_serve -json emits, so per-kind
 // latency regressions (and submit-queue backpressure, previously hidden
-// inside the total) surface in CI.
+// inside the total) surface in CI. An inline point read records a queue
+// wait of 0: its dequeue time is its submit time.
 //
 // Scheduler participation. Every reader thread registers itself with the
 // parlib scheduler (worker_guard) at pool startup, so query-internal
@@ -79,9 +97,11 @@
 // so tests and benches can assert the registration is effective.
 //
 // Result cache (options.cache — see result_cache.h). When wired, a
-// non-stale query first consults the cache ("serve.cache.lookup" span): a
-// hit skips execution entirely and is provably identical to re-executing
-// fresh (the cache's read-set/epoch check). Misses execute normally with
+// non-stale analytics query first consults the cache
+// ("serve.cache.lookup" span; point reads never do, a lookup plus an
+// insert would cost more than the read): a hit skips execution entirely
+// and is provably identical to re-executing fresh (the cache's
+// read-set/epoch check). Misses execute normally with
 // a read-set recorder threaded through the traversal and publish the
 // result back. The same cache instance must be attached to the ingest
 // manager (attach_cache) so batches invalidate it; the engine and the
@@ -101,8 +121,9 @@
 //
 // Lifetime: the engine must be destroyed (or stop()ed) before the
 // snapshot_store / overlay_view it reads from. The destructor finishes
-// all queued queries first, so every future obtained from submit()
-// becomes ready; stop() also closes every subscription channel.
+// all queued queries and waits out inline point reads still running on
+// client threads, so every future obtained from submit() becomes ready;
+// stop() also closes every subscription channel.
 #pragma once
 
 #include <array>
@@ -509,14 +530,17 @@ class query_engine {
 
   ~query_engine() { stop(); }
 
-  // Enqueue a query; the future resolves once a reader has executed it.
-  // Thread-safe. Latency is measured submit -> completion (queue wait
-  // included), the client-observed number. A submit that races with (or
-  // follows) stop() is rejected: its future resolves immediately with
-  // status = rejected (and counts toward dropped()), never left unready.
-  // A submit overflowing a bounded queue follows the configured policy;
-  // brownout shedding (see query_engine_options) also resolves here, so a
-  // shed query costs its client one allocation and zero reader time.
+  // Admit a query; the future resolves once it has executed. Point reads
+  // (is_point_read) execute right here on the calling thread and come
+  // back ready; everything else is queued for the reader pool. Thread-
+  // safe. Latency is measured submit -> completion (queue wait included),
+  // the client-observed number. A submit that races with (or follows)
+  // stop() is rejected: its future resolves immediately with status =
+  // rejected (and counts toward dropped()), never left unready. A submit
+  // overflowing a bounded queue follows the configured policy — point
+  // reads too, although they take no queue slot; brownout shedding (see
+  // query_engine_options) also resolves here, so a shed query costs its
+  // client one allocation and zero reader time.
   std::future<query_result> submit(query q) {
     item it;
     it.q = q;
@@ -529,11 +553,12 @@ class query_engine {
               std::chrono::duration<double>(q.deadline_s));
     }
     // Every query is one request timeline: the id set here follows the
-    // query across the queue hand-off (flow events), into the reader's
-    // execute span, and down into any scheduler forks/steals the
-    // algorithm triggers.
+    // query across the queue hand-off (flow events), into the execute
+    // span, and down into any scheduler forks/steals the algorithm
+    // triggers.
     it.trace_id = obs::flight_recorder::global().next_trace_id();
     const std::uint64_t trace_id = it.trace_id;
+    const bool run_inline = is_point_read(q.kind);
     std::future<query_result> fut = it.promise.get_future();
     {
       std::unique_lock<std::mutex> lk(mutex_);
@@ -578,8 +603,14 @@ class query_engine {
         it.promise.set_value(std::move(r));
         return fut;
       }
-      queue_.push_back(std::move(it));
       ++submitted_;
+      if (!run_inline) queue_.push_back(std::move(it));
+    }
+    if (run_inline) {
+      // No hand-off: dequeue time = submit time, so the queue wait is 0.
+      const auto submitted = it.submitted;
+      execute_and_account(std::move(it), submitted, nullptr);
+      return fut;
     }
     // Flow source on the submitting thread: pairs with the reader's
     // flow_end at dequeue (flow id = the trace id), drawing the
@@ -596,10 +627,11 @@ class query_engine {
     idle_cv_.wait(lk, [this] { return completed_ == submitted_; });
   }
 
-  // Finish all queued queries, then join the readers. Idempotent. Also
-  // detaches the cache listener (no standing-query triggers fire after
-  // this returns) and closes every subscription channel so blocked
-  // wait()ers wake.
+  // Finish all queued queries, join the readers, and wait out inline
+  // point reads admitted before the stop, so no query touches the store
+  // or overlay once this returns. Idempotent. Also detaches the cache
+  // listener (no standing-query triggers fire after this returns) and
+  // closes every subscription channel so blocked wait()ers wake.
   void stop() {
     {
       std::lock_guard<std::mutex> lk(mutex_);
@@ -610,6 +642,10 @@ class query_engine {
     space_cv_.notify_all();
     for (auto& t : readers_) t.join();
     readers_.clear();
+    {
+      std::unique_lock<std::mutex> lk(mutex_);
+      idle_cv_.wait(lk, [this] { return completed_ == submitted_; });
+    }
     if (cache_ != nullptr && cache_listener_id_ != 0) {
       // Blocks until no notify() is mid-listener, so after this the
       // ingest thread can no longer reach into this engine.
@@ -879,191 +915,196 @@ class query_engine {
         queue_.pop_front();
       }
       space_cv_.notify_one();
-      // Adopt the query's trace id for the rest of this iteration: the
-      // execute span below, and every scheduler fork/steal the query's
-      // par_do triggers (the id rides job::trace_id into thief threads),
-      // all attribute to this request.
-      parlib::trace::trace_id_scope tscope(it.trace_id);
-      auto& fr = obs::flight_recorder::global();
-      fr.emit(obs::event_type::flow_end, 0, it.trace_id);
-      // Deadline check at dequeue: a query that already expired while
-      // waiting resolves timed_out without executing — its client has
-      // given up, so running it now would be pure wasted capacity.
-      if (it.has_deadline &&
-          std::chrono::steady_clock::now() >= it.deadline) {
-        queue_wait_all_.record_s(std::chrono::duration<double>(
-                                     std::chrono::steady_clock::now() -
-                                     it.submitted)
-                                     .count());
-        fr.emit(obs::event_type::instant, timed_out_name_id_);
-        query_result r;
-        r.status = query_status::timed_out;
-        r.latency_s = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - it.submitted)
-                          .count();
-        timed_out_.add();
-        it.promise.set_value(std::move(r));
-        finish_one();
-        continue;
-      }
-      const auto kind_idx = static_cast<std::size_t>(it.q.kind);
-      const std::uint32_t span_name_id =
-          kind_idx < kNumQueryKinds ? kind_name_ids_[kind_idx] : 0;
-      fr.emit(obs::event_type::span_begin, span_name_id);
-      const auto dequeued = std::chrono::steady_clock::now();
-      queue_wait_all_.record_s(
-          std::chrono::duration<double>(dequeued - it.submitted).count());
-      // Set right before the query's algorithm runs: [dequeued,
-      // exec_start) is view selection (cache lookup / select_view),
-      // [exec_start, done) is execution.
-      auto exec_start = dequeued;
-      const std::uint64_t forks_before =
-          guard.registered()
-              ? parlib::scheduler::instance().push_count(guard.slot())
-              : 0;
+      // Ends the submit-side flow: the queue-wait arrow lands here.
+      obs::flight_recorder::global().emit_with_id(
+          obs::event_type::flow_end, it.trace_id, 0, it.trace_id);
+      execute_and_account(std::move(it), std::chrono::steady_clock::now(),
+                          &guard);
+    }
+  }
+
+  // Execute one admitted query, resolve its future, and account for it.
+  // The one execute path: reader threads call it after dequeue, submit()
+  // calls it inline for point reads with dequeued = the submit time.
+  // `guard` is the calling reader's scheduler registration (null inline:
+  // point reads never fork).
+  void execute_and_account(item it,
+                           std::chrono::steady_clock::time_point dequeued,
+                           const parlib::worker_guard* guard) {
+    // Adopt the query's trace id for the rest of this call: the execute
+    // span below, and every scheduler fork/steal the query's par_do
+    // triggers (the id rides job::trace_id into thief threads), all
+    // attribute to this request.
+    parlib::trace::trace_id_scope tscope(it.trace_id);
+    auto& fr = obs::flight_recorder::global();
+    const double queue_wait_s =
+        std::chrono::duration<double>(dequeued - it.submitted).count();
+    queue_wait_all_.record_s(queue_wait_s);
+    // Deadline check at dequeue: a query that already expired while
+    // waiting resolves timed_out without executing — its client has
+    // given up, so running it now would be pure wasted capacity.
+    if (it.has_deadline && dequeued >= it.deadline) {
+      fr.emit(obs::event_type::instant, timed_out_name_id_);
       query_result r;
-      // Read-set recorder for this execution: needed when a cacheable
-      // analytics result will be inserted (bfs precision; whole-graph
-      // kinds record the universe) and for every standing-query re-eval.
-      // Point reads derive their read-set from the key alone.
-      read_set_recorder rec;
-      const bool cacheable =
-          cache_ != nullptr && it.sub == nullptr && !it.q.stale;
-      read_set_recorder* rec_ptr =
-          ((cacheable || it.sub != nullptr) && !is_point_read(it.q.kind))
-              ? &rec
-              : nullptr;
-      bool from_cache = false;
-      if (cacheable) {
-        // Lookup is one atomic load + the read-set epoch check; a hit
-        // skips view selection and execution entirely.
-        static const obs::stage_ref s_lookup =
-            obs::stage_named("serve.cache.lookup");
-        obs::trace_span cspan(s_lookup);
-        from_cache = cache_->lookup(it.q, &r);
-        fr.emit(obs::event_type::instant,
-                from_cache ? cache_hit_name_id_ : cache_miss_name_id_);
-        if (from_cache) exec_start = std::chrono::steady_clock::now();
+      r.status = query_status::timed_out;
+      r.latency_s = queue_wait_s;
+      timed_out_.add();
+      it.promise.set_value(std::move(r));
+      finish_one();
+      return;
+    }
+    const auto kind_idx = static_cast<std::size_t>(it.q.kind);
+    const std::uint32_t span_name_id =
+        kind_idx < kNumQueryKinds ? kind_name_ids_[kind_idx] : 0;
+    fr.emit(obs::event_type::span_begin, span_name_id);
+    // Set right before the query's algorithm runs: [dequeued,
+    // exec_start) is view selection (cache lookup / select_view),
+    // [exec_start, done) is execution.
+    auto exec_start = dequeued;
+    const bool registered = guard != nullptr && guard->registered();
+    const std::uint64_t forks_before =
+        registered ? parlib::scheduler::instance().push_count(guard->slot())
+                   : 0;
+    query_result r;
+    // Only analytics are cached; point reads cost less than a lookup.
+    // Read-set recorder for this execution: needed when a cacheable
+    // analytics result will be inserted (bfs precision; whole-graph
+    // kinds record the universe) and for every standing-query re-eval.
+    // Point reads derive their read-set from the key alone.
+    const bool point = is_point_read(it.q.kind);
+    read_set_recorder rec;
+    const bool cacheable =
+        cache_ != nullptr && it.sub == nullptr && !it.q.stale && !point;
+    read_set_recorder* rec_ptr =
+        ((cacheable || it.sub != nullptr) && !point) ? &rec : nullptr;
+    bool from_cache = false;
+    if (cacheable) {
+      // Lookup is one slot load + the read-set epoch check; a hit
+      // skips view selection and execution entirely.
+      static const obs::stage_ref s_lookup =
+          obs::stage_named("serve.cache.lookup");
+      obs::trace_span cspan(s_lookup);
+      from_cache = cache_->lookup(it.q, &r);
+      fr.emit(obs::event_type::instant,
+              from_cache ? cache_hit_name_id_ : cache_miss_name_id_);
+      if (from_cache) exec_start = std::chrono::steady_clock::now();
+    }
+    // Cancellation token for the execution: caller-supplied when the
+    // query carries one, else a call-local token when a deadline is
+    // armed. The token_scope binds it as this thread's current token,
+    // and par_do carries it into every forked job — stolen subtasks
+    // poll the same token (scheduler.h), so one latch stops them all.
+    parlib::cancel::token local_token;
+    parlib::cancel::token* tok = it.q.cancel;
+    if (tok == nullptr && it.has_deadline) tok = &local_token;
+    if (tok != nullptr && it.has_deadline) tok->set_deadline(it.deadline);
+    bool executed = false;
+    std::uint64_t entry_epoch = 0;  // the view's cache-clock position
+    if (!from_cache) {
+      parlib::cancel::token_scope cscope(tok);
+      GBBS_FAILPOINT_SLEEP("serve.exec.delay");
+      // The ladder only moves with brownout on; otherwise the level
+      // stays 0 and need not be loaded.
+      view_plan<W> plan = select_view(
+          it.q, fresh_source(it.q, overlay_, router_), store_,
+          brownout_enabled_ ? degrade_level_.load(std::memory_order_relaxed)
+                            : 0,
+          it.sub != nullptr, kDegradedStalenessBound);
+      exec_start = std::chrono::steady_clock::now();
+      if (plan) {
+        entry_epoch = plan.epoch;
+        r = execute_plan(std::move(plan), it.q, rec_ptr);
+        executed = true;
+        if (r.route == query_route::degraded) degraded_.add();
       }
-      // Cancellation token for the execution: caller-supplied when the
-      // query carries one, else a loop-local token when a deadline is
-      // armed. The token_scope binds it as this thread's current token,
-      // and par_do carries it into every forked job — stolen subtasks
-      // poll the same token (scheduler.h), so one latch stops them all.
-      parlib::cancel::token local_token;
-      parlib::cancel::token* tok = it.q.cancel;
-      if (tok == nullptr && it.has_deadline) tok = &local_token;
-      if (tok != nullptr && it.has_deadline) tok->set_deadline(it.deadline);
-      bool executed = false;
-      std::uint64_t entry_epoch = 0;  // the view's cache-clock position
-      if (!from_cache) {
-        parlib::cancel::token_scope cscope(tok);
-        GBBS_FAILPOINT_SLEEP("serve.exec.delay");
-        // The ladder only moves with brownout on; otherwise the level
-        // stays 0 and need not be loaded.
-        view_plan<W> plan = select_view(
-            it.q, fresh_source(it.q, overlay_, router_), store_,
-            brownout_enabled_ ? degrade_level_.load(std::memory_order_relaxed)
-                              : 0,
-            it.sub != nullptr, kDegradedStalenessBound);
-        exec_start = std::chrono::steady_clock::now();
-        if (plan) {
-          entry_epoch = plan.epoch;
-          r = execute_plan(std::move(plan), it.q, rec_ptr);
-          executed = true;
-          if (r.route == query_route::degraded) degraded_.add();
+    }
+    if (tok != nullptr && tok->cancelled()) {
+      // The traversal unwound early (or raced completion with the
+      // latch): its partial output is not a correct answer, so discard
+      // everything and report how the run ended.
+      const bool expired = tok->timed_out();
+      r = query_result{};
+      r.status =
+          expired ? query_status::timed_out : query_status::cancelled;
+      fr.emit(obs::event_type::instant,
+              expired ? timed_out_name_id_ : cancelled_name_id_);
+      (expired ? timed_out_ : cancelled_).add();
+    } else if (!from_cache && !executed) {
+      // Nothing published to serve from: say so instead of handing the
+      // client a default-constructed (silently empty) result.
+      r.status = query_status::unavailable;
+      unavailable_.add();
+    }
+    if (cacheable && executed) {
+      // Publish the result back (insert drops degraded and non-ok
+      // ones): read-set from the recorder, epoch from the plan.
+      cache_->insert(it.q, r, read_set_for(it.q, rec_ptr), entry_epoch);
+    }
+    if (registered) {
+      const std::uint64_t forks =
+          parlib::scheduler::instance().push_count(guard->slot()) -
+          forks_before;
+      // One add per query, not per fork.
+      if (forks != 0) reader_forks_.add(forks);
+    }
+    const auto done = std::chrono::steady_clock::now();
+    fr.emit(obs::event_type::span_end, span_name_id);
+    r.latency_s =
+        std::chrono::duration<double>(done - it.submitted).count();
+    const auto kind_slot = static_cast<std::size_t>(it.q.kind);
+    const double slo = slo_for(it.q.kind);
+    const double latency = r.latency_s;
+    const query_status status = r.status;
+    if (it.sub != nullptr) {
+      // Standing query: refresh the trigger read-set from this
+      // evaluation, deliver, and re-arm — a batch that landed mid-eval
+      // (eval_state_ == 2) queues exactly one follow-up, so the
+      // subscriber converges to the freshest answer.
+      bool requeue = false;
+      {
+        std::lock_guard<std::mutex> lk(subs_mutex_);
+        if (status == query_status::ok) {
+          it.sub->reads_ = read_set_for(it.q, rec_ptr);
         }
-      }
-      if (tok != nullptr && tok->cancelled()) {
-        // The traversal unwound early (or raced completion with the
-        // latch): its partial output is not a correct answer, so discard
-        // everything and report how the run ended.
-        const bool expired = tok->timed_out();
-        r = query_result{};
-        r.status =
-            expired ? query_status::timed_out : query_status::cancelled;
-        fr.emit(obs::event_type::instant,
-                expired ? timed_out_name_id_ : cancelled_name_id_);
-        (expired ? timed_out_ : cancelled_).add();
-      } else if (!from_cache && !executed) {
-        // Nothing published to serve from: say so instead of handing the
-        // client a default-constructed (silently empty) result.
-        r.status = query_status::unavailable;
-        unavailable_.add();
-      }
-      if (cacheable && executed) {
-        // Publish the result back (insert drops degraded and non-ok
-        // ones): read-set from the recorder (or the key, for point
-        // reads), epoch from the plan.
-        cache_->insert(it.q, r, read_set_for(it.q, rec_ptr), entry_epoch);
-      }
-      if (guard.registered()) {
-        const std::uint64_t forks =
-            parlib::scheduler::instance().push_count(guard.slot()) -
-            forks_before;
-        // One add per query, not per fork.
-        if (forks != 0) reader_forks_.add(forks);
-      }
-      const auto done = std::chrono::steady_clock::now();
-      fr.emit(obs::event_type::span_end, span_name_id);
-      r.latency_s =
-          std::chrono::duration<double>(done - it.submitted).count();
-      const auto kind_slot = static_cast<std::size_t>(it.q.kind);
-      const double slo = slo_for(it.q.kind);
-      const double latency = r.latency_s;
-      const query_status status = r.status;
-      if (it.sub != nullptr) {
-        // Standing query: refresh the trigger read-set from this
-        // evaluation, deliver, and re-arm — a batch that landed mid-eval
-        // (eval_state_ == 2) queues exactly one follow-up, so the
-        // subscriber converges to the freshest answer.
-        bool requeue = false;
-        {
-          std::lock_guard<std::mutex> lk(subs_mutex_);
-          if (status == query_status::ok) {
-            it.sub->reads_ = read_set_for(it.q, rec_ptr);
-          }
-          if (it.sub->eval_state_ == 2) {
-            it.sub->eval_state_ = 1;
-            requeue = true;
-          } else {
-            it.sub->eval_state_ = 0;
-          }
-        }
-        if (status == query_status::ok) it.sub->deliver(r);
-        if (requeue && !enqueue_sub(it.sub)) {
-          std::lock_guard<std::mutex> lk(subs_mutex_);
+        if (it.sub->eval_state_ == 2) {
+          it.sub->eval_state_ = 1;
+          requeue = true;
+        } else {
           it.sub->eval_state_ = 0;
         }
       }
-      it.promise.set_value(std::move(r));
-      // Stage accounting: three sharded histogram records + the engine-
-      // wide view-selection span, all lock-free on this reader's own
-      // cells (obs/metrics.h) — the submit-queue mutex is not touched.
-      // Only successful queries are recorded: a timed-out / cancelled /
-      // unavailable resolution is not a latency sample of the kind's
-      // execution and would skew the percentiles CI gates on.
-      if (status == query_status::ok && kind_slot < kNumQueryKinds) {
-        kind_metrics& km = kind_metrics_[kind_slot];
-        km.latency.record_s(latency);
-        km.queue_wait.record_s(
-            std::chrono::duration<double>(dequeued - it.submitted).count());
-        km.execute.record_s(
-            std::chrono::duration<double>(done - exec_start).count());
-        view_select_.record_s(
-            std::chrono::duration<double>(exec_start - dequeued).count());
-        if (slo > 0 && latency > slo) {
-          slo_violations_[kind_slot].fetch_add(1,
-                                               std::memory_order_relaxed);
-        }
+      if (status == query_status::ok) it.sub->deliver(r);
+      if (requeue && !enqueue_sub(it.sub)) {
+        std::lock_guard<std::mutex> lk(subs_mutex_);
+        it.sub->eval_state_ = 0;
       }
-      // Tail sampling: now that the latency is known, retain this
-      // request's full timeline if it ranks among the slowest (no-op
-      // unless a threshold was configured — see -slow-trace-ms).
-      obs::exemplar_store::global().maybe_capture(
-          it.trace_id, query_kind_name(it.q.kind), latency);
-      finish_one();
     }
+    it.promise.set_value(std::move(r));
+    // Stage accounting: three sharded histogram records + the engine-
+    // wide view-selection span, all lock-free on the calling thread's
+    // own cells (obs/metrics.h) — the submit-queue mutex is not touched.
+    // Only successful queries are recorded: a timed-out / cancelled /
+    // unavailable resolution is not a latency sample of the kind's
+    // execution and would skew the percentiles CI gates on.
+    if (status == query_status::ok && kind_slot < kNumQueryKinds) {
+      kind_metrics& km = kind_metrics_[kind_slot];
+      km.latency.record_s(latency);
+      km.queue_wait.record_s(queue_wait_s);
+      km.execute.record_s(
+          std::chrono::duration<double>(done - exec_start).count());
+      view_select_.record_s(
+          std::chrono::duration<double>(exec_start - dequeued).count());
+      if (slo > 0 && latency > slo) {
+        slo_violations_[kind_slot].fetch_add(1,
+                                             std::memory_order_relaxed);
+      }
+    }
+    // Tail sampling: now that the latency is known, retain this
+    // request's full timeline if it ranks among the slowest (no-op
+    // unless a threshold was configured — see -slow-trace-ms).
+    obs::exemplar_store::global().maybe_capture(
+        it.trace_id, query_kind_name(it.q.kind), latency);
+    finish_one();
   }
 
   const snapshot_store<W>& store_;

@@ -11,11 +11,12 @@
 // hit cost, and there are no false hits (only false *invalidations*, when
 // distinct vertices alias to the same bucket).
 //
-// Structure — sharded by key, lock-free reads:
+// Structure — sharded by key, one short per-slot lock:
 //   * The entry table is a power-of-two array of independent
-//     std::atomic<std::shared_ptr<const cache_entry>> slots; the key hash
-//     picks the slot. Readers are lock-free (one atomic shared_ptr load);
-//     writers publish whole immutable entries with a single store.
+//     parlib::atomic_shared_ptr<const cache_entry> slots; the key hash
+//     picks the slot. A reader copies one slot's pointer under that
+//     slot's own spinlock; writers publish whole immutable entries with a
+//     single swap.
 //     Collisions overwrite (the table is a cache, not a map): no chains,
 //     no probing, no resize, bounded memory by construction.
 //   * Invalidation is *lazy and epoch-guarded*, O(touched buckets) per
@@ -37,14 +38,17 @@
 // standing-query re-evaluations (query_engine::subscribe) observe the new
 // state.
 //
-// Read-set derivation per kind lives in read_set_for() below. Note
-// `connected` / `component` use an all-buckets read-set even though they
-// are point reads: connectivity labels are a *global* property — an
-// insert between two far-away vertices can merge the components of u and
-// v without any update touching their buckets — so endpoint buckets alone
-// would admit stale hits. This deliberately trades hit longevity for
-// soundness; the ISSUE's "endpoint buckets" shorthand is unsound for
-// these two kinds.
+// Only analytics are cached. Point reads (degree / neighbors / connected /
+// component) run on the submitting thread and never consult or fill the
+// cache: a lookup plus an insert costs more than the read itself.
+//
+// Read-set derivation per kind lives in read_set_for() below; its
+// point-read branches serve standing queries (query_engine::subscribe)
+// only. Note `connected` / `component` use an all-buckets read-set:
+// connectivity labels are a *global* property — an insert between two
+// far-away vertices can merge the components of u and v without any
+// update touching their buckets — so endpoint buckets alone would miss a
+// batch that changes the answer.
 #pragma once
 
 #include <array>
@@ -59,15 +63,17 @@
 
 #include "dynamic/update_batch.h"
 #include "obs/registry.h"
+#include "parlib/atomic_shared_ptr.h"
 #include "serve/query.h"
 #include "serve/read_set.h"
 
 namespace gbbs::serve {
 
-// Derive the cache read-set for q. `rec` is the recorder threaded through
-// the execution (required for bfs_distance precision; a bfs executed
-// without one degrades to all-buckets, which is sound but invalidates on
-// every batch).
+// Derive the read-set for q: the cache entry's for analytics, the trigger
+// set for a standing query of any kind. `rec` is the recorder threaded
+// through the execution (required for bfs_distance precision; a bfs
+// executed without one degrades to all-buckets, which is sound but
+// invalidates on every batch).
 inline bucket_set read_set_for(const query& q,
                                const read_set_recorder* rec) {
   bucket_set rs;
@@ -136,14 +142,14 @@ class result_cache {
   // Serve q from cache if present and provably untouched. On a hit, *out
   // receives the stored result with route = cache (version/epoch describe
   // when it was computed — the freshness check proves it is still the
-  // answer the fresh path would produce). Lock-free: one atomic load plus the
-  // read-set epoch comparison. A stale entry found here is evicted and
+  // answer the fresh path would produce). One slot load plus the read-set
+  // epoch comparison. A stale entry found here is evicted and
   // counted as one invalidation (lazy invalidation realizes the batch's
   // logical invalidation at first touch).
   bool lookup(const query& q, query_result* out) {
     const std::size_t kidx = static_cast<std::size_t>(q.kind);
     const std::size_t s = slot_of(q);
-    auto e = slots_[s].load(std::memory_order_acquire);
+    auto e = slots_[s].load();
     if (e == nullptr || e->kind != q.kind || e->u != q.u || e->v != q.v) {
       misses_ctr_->add();
       kind_misses_[kidx].fetch_add(1, std::memory_order_relaxed);
@@ -152,10 +158,7 @@ class result_cache {
     if (!fresh(*e)) {
       // Evict exactly once even under racing lookups: only the CAS winner
       // counts the invalidation.
-      auto expected = e;
-      if (slots_[s].compare_exchange_strong(expected, nullptr,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire)) {
+      if (slots_[s].compare_exchange(e, nullptr)) {
         invalidations_ctr_->add();
         entries_gauge_->add(-1);
       }
@@ -185,8 +188,7 @@ class result_cache {
     auto e = std::make_shared<const cache_entry>(
         cache_entry{q.kind, q.u, q.v, epoch, std::move(reads), r});
     if (!fresh(*e)) return;
-    auto prev =
-        slots_[slot_of(q)].exchange(std::move(e), std::memory_order_acq_rel);
+    auto prev = slots_[slot_of(q)].exchange(std::move(e));
     if (prev == nullptr) entries_gauge_->add(1);
   }
 
@@ -247,7 +249,7 @@ class result_cache {
   std::size_t entries() const {
     std::size_t c = 0;
     for (const auto& s : slots_) {
-      if (s.load(std::memory_order_acquire) != nullptr) ++c;
+      if (s.load() != nullptr) ++c;
     }
     return c;
   }
@@ -272,7 +274,7 @@ class result_cache {
     bucket_set reads;
     query_result result;
   };
-  using slot_type = std::atomic<std::shared_ptr<const cache_entry>>;
+  using slot_type = parlib::atomic_shared_ptr<const cache_entry>;
 
   bool fresh(const cache_entry& e) const {
     if (e.reads.all()) {

@@ -12,7 +12,7 @@
 //      including shards with an empty slice, so vertex-set growth and the
 //      clock advance in lockstep.
 // Each shard worker then applies its slice to its own dynamic_graph and
-// refreshes its own seqlock overlay_view — the apply path that was one
+// refreshes its own overlay_view — the apply path that was one
 // writer wide in snapshot_manager runs num_shards wide here.
 //
 // The composite version clock (after katana's multi-participant
@@ -233,7 +233,7 @@ class sharded_snapshot_manager {
 
   // ---- reader side (any thread) ------------------------------------------
 
-  // Shard s's freshest overlay index (seqlock): point reads against it
+  // Shard s's freshest overlay index: point reads against it
   // see every batch that shard has applied, published or not.
   const overlay_view<W>& shard_overlay(std::size_t s) const {
     return shards_[s]->ov;

@@ -239,7 +239,7 @@ class snapshot_manager {
   void refresh_anchor() { tracker_.refresh_anchor(cc_.labels()); }
 
   // Distill the current overlay into an immutable index and hand it to
-  // readers through the seqlock. With `touched` (the batch's distinct
+  // readers through the overlay_view. With `touched` (the batch's distinct
   // vertices) this is incremental against the previous index — O(batch)
   // expected; without, a full O(overlay) rebuild (compaction hand-offs,
   // defensive refreshes).

@@ -5,10 +5,11 @@
 //   * the acceptance equality: under randomized mixed insert/erase
 //     schedules, every query kind served with the cache on is
 //     bit-identical to the same query with the cache off — first
-//     evaluation (miss path) and repeat (hit path) alike;
+//     evaluation (miss path) and repeat (hit path) alike (point reads
+//     bypass the cache, so for them both are inline re-executions);
 //   * invalidation precision, counter-verified: a batch touching a cached
 //     query's read-set provably evicts the entry, a bucket-disjoint batch
-//     provably does not;
+//     provably does not; a remote merge triggers a connectivity watch;
 //   * standing queries: subscription delivery on intersecting batches
 //     only, trigger coalescing, the bounded drop-oldest channel, and
 //     channel close at engine stop;
@@ -193,10 +194,22 @@ TEST(ResultCache, CachedVsFreshEqualityAllKinds) {
 
 // ---- invalidation precision -----------------------------------------------
 
-// Counter-verified precision on a point read (read-set = {bucket(u)}):
-// a bucket-disjoint batch must keep the entry hot (hit, no invalidation
-// delta), a batch touching the bucket must evict it (miss, invalidation
-// +1). Counters are registry-global, so all assertions are deltas.
+// Edges for a small component plus a long path over [tail_from, n): the
+// path keeps a traversal of the component in sparse rounds (a dense round
+// would read every row, and so would every read-set).
+std::vector<std::pair<vertex_id, vertex_id>> component_and_tail(
+    std::vector<std::pair<vertex_id, vertex_id>> component,
+    vertex_id tail_from, vertex_id n) {
+  for (vertex_id v = tail_from; v + 1 < n; ++v) component.push_back({v, v + 1});
+  return component;
+}
+
+// Counter-verified precision on a bfs_distance inside a small component
+// (read-set = the buckets of the three rows it reads): a bucket-disjoint
+// batch must keep the entry hot (hit, no invalidation delta), a batch
+// touching the read-set must evict it (miss, invalidation +1). Point reads
+// are not cached, so an analytics query carries the check. Counters are
+// registry-global, so all assertions are deltas.
 TEST(ResultCache, InvalidationPrecision) {
   const vertex_id n = 512;
   snapshot_manager<empty_weight> mgr(n);
@@ -206,20 +219,21 @@ TEST(ResultCache, InvalidationPrecision) {
   opts.cache = &cache;
   query_engine<empty_weight> engine(mgr.store(), &mgr.overlay(), 1, opts);
 
-  const vertex_id a = 10;
-  mgr.ingest(make_updates({{a, 20}, {20, 30}}));
+  const vertex_id a = 10, b = 20, c = 30;
+  mgr.ingest(make_updates(component_and_tail({{a, b}, {b, c}}, 256, n)));
   mgr.publish();
 
-  query qa{query_kind::degree, a, 0};
+  const query qa{query_kind::bfs_distance, a, c};
   bucket_set qa_reads;
-  qa_reads.add_vertex(a);
+  for (const vertex_id v : {a, b, c}) qa_reads.add_vertex(v);
 
   // Prime: first evaluation misses and caches the entry.
   const std::uint64_t m0 = cache.misses();
-  EXPECT_EQ(engine.submit(qa).get().value, 1u);
+  EXPECT_EQ(engine.submit(qa).get().value, 2u);
   EXPECT_EQ(cache.misses(), m0 + 1);
 
-  // Disjoint batch: neither endpoint (nor its mirror) lands in bucket(a).
+  // Disjoint batch: neither endpoint (nor its mirror) lands in a bucket
+  // the traversal read.
   const vertex_id w = vertex_outside(qa_reads, a + 1, n);
   const vertex_id x = vertex_outside(qa_reads, w + 1, n);
   mgr.ingest(make_updates({{w, x}}));
@@ -227,20 +241,20 @@ TEST(ResultCache, InvalidationPrecision) {
   {
     const std::uint64_t h0 = cache.hits();
     const std::uint64_t inv0 = cache.invalidations();
-    EXPECT_EQ(engine.submit(qa).get().value, 1u);
+    EXPECT_EQ(engine.submit(qa).get().value, 2u);
     EXPECT_EQ(cache.hits(), h0 + 1) << "disjoint batch must keep the entry";
     EXPECT_EQ(cache.invalidations(), inv0);
   }
 
-  // Touching batch: (a, w) touches bucket(a) — the entry must go, and the
-  // re-evaluation must see the new degree.
-  mgr.ingest(make_updates({{a, w}}));
+  // Touching batch: (a, c) touches bucket(a) — the entry must go, and the
+  // re-evaluation must see the new distance.
+  mgr.ingest(make_updates({{a, c}}));
   mgr.publish();
   {
     const std::uint64_t h0 = cache.hits();
     const std::uint64_t m1 = cache.misses();
     const std::uint64_t inv0 = cache.invalidations();
-    EXPECT_EQ(engine.submit(qa).get().value, 2u);
+    EXPECT_EQ(engine.submit(qa).get().value, 1u);
     EXPECT_EQ(cache.hits(), h0);
     EXPECT_EQ(cache.misses(), m1 + 1);
     EXPECT_EQ(cache.invalidations(), inv0 + 1);
@@ -279,8 +293,10 @@ TEST(ResultCache, WholeGraphEntriesInvalidatedByAnyBatch) {
 
 // A connectivity answer can change without either endpoint's bucket being
 // touched (a remote edge merges their components), so connected/component
-// entries carry the all-buckets read-set — this is the scenario that
-// makes the conservative choice load-bearing.
+// read-sets are all-buckets — this is the scenario that makes the
+// conservative choice load-bearing. Point reads are not cached; the
+// read-set is a standing query's trigger set, so a subscription must
+// re-evaluate on the remote merge.
 TEST(ResultCache, ConnectedInvalidatedByRemoteMerge) {
   const vertex_id n = 64;
   snapshot_manager<empty_weight> mgr(n);
@@ -295,13 +311,20 @@ TEST(ResultCache, ConnectedInvalidatedByRemoteMerge) {
   mgr.publish();
   const query qc{query_kind::connected, 0, 3};
   EXPECT_EQ(engine.submit(qc).get().value, 0u);
-  EXPECT_EQ(engine.submit(qc).get().value, 0u);  // cached
+  EXPECT_EQ(engine.submit(qc).get().value, 0u);
+  auto sub = engine.subscribe(qc);
+  ASSERT_NE(sub, nullptr);
+  query_result r;
+  ASSERT_TRUE(sub->wait(&r, 5.0));
+  EXPECT_EQ(r.value, 0u);
 
   // Merge via 1-2: touches buckets of 1 and 2, NOT of 0 or 3.
   mgr.ingest(make_updates({{1, 2}}));
   mgr.publish();
   EXPECT_EQ(engine.submit(qc).get().value, 1u)
       << "stale connectivity served after a remote merge";
+  ASSERT_TRUE(sub->wait(&r, 5.0)) << "remote merge did not trigger";
+  EXPECT_EQ(r.value, 1u);
 }
 
 // ---- standing queries -----------------------------------------------------
@@ -436,27 +459,29 @@ TEST(ResultCache, ShardedInvalidationAndFreshness) {
   query_engine<empty_weight> engine(mgr.store(), nullptr, 1, opts,
                                     mgr.router());
 
-  const vertex_id a = 9;
-  mgr.ingest(make_updates({{a, 17}}));
+  // A small component traversed by a cached analytics query (read-set:
+  // buckets of a, b, c).
+  const vertex_id a = 9, b = 17, c = 33;
+  mgr.ingest(make_updates(component_and_tail({{a, b}, {b, c}}, 128, n)));
   mgr.publish();
   mgr.flush();
 
-  query qa{query_kind::degree, a, 0};
-  EXPECT_EQ(engine.submit(qa).get().value, 1u);
+  query qa{query_kind::bfs_distance, a, c};
+  EXPECT_EQ(engine.submit(qa).get().value, 2u);
   {
     const std::uint64_t h0 = cache.hits();
-    EXPECT_EQ(engine.submit(qa).get().value, 1u);
+    EXPECT_EQ(engine.submit(qa).get().value, 2u);
     EXPECT_EQ(cache.hits(), h0 + 1);
   }
 
   // A batch touching bucket(a): invalidated at ingest (pre-apply, at the
   // batch's clock), so no window where a reader can hit the stale entry.
-  mgr.ingest(make_updates({{a, 33}}));
+  mgr.ingest(make_updates({{a, c}}));
   mgr.publish();
   mgr.flush();
   {
     const std::uint64_t h0 = cache.hits();
-    EXPECT_EQ(engine.submit(qa).get().value, 2u);
+    EXPECT_EQ(engine.submit(qa).get().value, 1u);
     EXPECT_EQ(cache.hits(), h0);
   }
 
@@ -466,24 +491,26 @@ TEST(ResultCache, ShardedInvalidationAndFreshness) {
   engine.drain();
   query_result r;
   ASSERT_TRUE(sub->wait(&r, 5.0));
-  EXPECT_EQ(r.value, 2u);
-  mgr.ingest(make_updates({{a, 49}}));
+  EXPECT_EQ(r.value, 1u);
+  mgr.ingest(make_updates({{a, c}}, gbbs::dynamic::update_op::erase));
   mgr.publish();
   mgr.flush();
   engine.drain();
   ASSERT_TRUE(sub->wait(&r, 5.0));
-  EXPECT_EQ(r.value, 3u);
+  EXPECT_EQ(r.value, 2u);
 }
 
 // ---- concurrency stress (the TSan target) ---------------------------------
 
-// Writer ingesting random batches while reader threads slam repeated
-// queries through the cached engine and a standing query stays live: the
-// races this drives are lookup-vs-invalidate (lazy CAS evict), insert
-// epoch checks vs last_touched stores, and on_delta vs reader re-arm.
-// Correctness of served values under concurrency is test_serve's job —
-// here every ok point read is additionally checked against a bound that
-// a stale-beyond-one-batch entry would violate.
+// Writer ingesting random batches while client threads slam repeated
+// analytics through the cached engine's readers and a standing query
+// stays live: the races this drives are lookup-vs-invalidate (lazy CAS
+// evict), lookup-vs-insert on the same slots, insert epoch checks vs
+// last_touched stores, and on_delta vs reader re-arm. Two clients submit
+// analytics because point reads bypass the cache; a third runs inline
+// point reads against the overlay the writer refreshes. Correctness of
+// served values under concurrency is test_serve's job — here every ok
+// answer is additionally checked against the range its kind can take.
 TEST(ResultCache, ConcurrentLookupInvalidateStress) {
   const vertex_id n = 1024;
   snapshot_manager<empty_weight> mgr(n);
@@ -523,21 +550,38 @@ TEST(ResultCache, ConcurrentLookupInvalidateStress) {
       std::size_t qi = 0;
       while (!done.load(std::memory_order_acquire)) {
         // Narrow key space so lookups repeatedly collide with the
-        // writer's invalidations of the same entries.
+        // writer's invalidations and the other client's inserts of the
+        // same entries.
         query q;
-        q.kind = (qi & 1) ? query_kind::neighbors : query_kind::degree;
+        q.kind = query_kind::bfs_distance;
         q.u = static_cast<vertex_id>(rng.ith_rand(qi) % 32);
+        q.v = static_cast<vertex_id>(qi & 1);
         const auto r = engine.submit(q).get();
         if (r.status == query_status::ok) {
           served.fetch_add(1, std::memory_order_relaxed);
-          if (q.kind == query_kind::degree) {
-            EXPECT_LE(r.value, n) << "degree out of range";
-          }
+          EXPECT_TRUE(r.value < n || r.value == gbbs::kInfDist)
+              << "distance out of range";
         }
         ++qi;
       }
     });
   }
+  // Inline point reads: this client thread loads the overlay index while
+  // the writer refreshes it.
+  clients.emplace_back([&] {
+    parlib::random rng(102);
+    std::size_t qi = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      query q;
+      q.kind = (qi & 1) ? query_kind::neighbors : query_kind::degree;
+      q.u = static_cast<vertex_id>(rng.ith_rand(qi) % 32);
+      const auto r = engine.submit(q).get();
+      if (r.status == query_status::ok && q.kind == query_kind::degree) {
+        EXPECT_LE(r.value, n) << "degree out of range";
+      }
+      ++qi;
+    }
+  });
   writer.join();
   for (auto& c : clients) c.join();
   engine.drain();

@@ -331,13 +331,14 @@ TEST(QueryEngine, DeadlineExpiredInQueueResolvesWithoutExecuting) {
   mgr.publish();
   // Every executed query stalls 30ms at the top of its execution, so the
   // second query's 1ms deadline is long gone when the single reader
-  // finally dequeues it.
+  // finally dequeues it. Both are analytics: point reads run inline in
+  // submit() and never queue.
   fp().configure("serve.exec.delay", failpoint_mode::always,
                  /*probability=*/1.0, /*nth=*/0, /*arg_us=*/30000);
   query_engine<empty_weight> engine(mgr.store(), /*num_readers=*/1);
 
-  auto fa = engine.submit({query_kind::degree, 1, 0});
-  query qb{query_kind::connected, 0, 2};
+  auto fa = engine.submit({query_kind::bfs_distance, 0, 2});
+  query qb{query_kind::kcore_max, 0, 0};
   qb.deadline_s = 0.001;
   auto fb = engine.submit(qb);
 
@@ -353,7 +354,7 @@ TEST(QueryEngine, DeadlineExpiredInQueueResolvesWithoutExecuting) {
   // ...and contributed no latency sample to its kind's histograms.
   const auto stats = engine.latency_by_kind();
   EXPECT_EQ(
-      stats[static_cast<std::size_t>(query_kind::connected)].count, 0u);
+      stats[static_cast<std::size_t>(query_kind::kcore_max)].count, 0u);
   fp().reset();
 }
 
@@ -544,23 +545,27 @@ TEST(QueryEngine, SubscriptionStaysFreshUnderBrownout) {
   gbbs::serve::query_engine_options opts;
   opts.cache = &cache;
   opts.brownout = true;
-  // Rungs at depths 1/2/3: one queued query raises level 1. Point reads
-  // ride through every rung until the queue is hard-full at 4, and
-  // subscription re-evaluations bypass submit-side shedding.
+  // Rungs at depths 1/2/3: one queued query raises level 1, three shed
+  // every analytics submit. Subscription re-evaluations bypass
+  // submit-side shedding.
   opts.max_queue = 4;
   query_engine<empty_weight> engine(mgr.store(), &mgr.overlay(),
                                     /*num_readers=*/1, opts);
 
   // Raise the ladder: with the only reader stalled 50ms per query, a
-  // later submit finds an earlier one still queued (at most three are
-  // queued behind the stalled one, so none overflows). The level only
+  // later submit finds an earlier one still queued. The burst is
+  // analytics (point reads run inline and never queue); three of them
+  // find at most two queued, below the shed-all rung, and stale ones pin
+  // the published version, so none is degraded or cached. The level only
   // moves on submit (and steps down only after a 256-submit dwell), so it
   // stays at level >= 1 from here on.
   fp().configure("serve.exec.delay", failpoint_mode::always,
                  /*probability=*/1.0, /*nth=*/0, /*arg_us=*/50000);
   std::vector<std::future<query_result>> burst;
-  for (vertex_id u = 0; u < 4; ++u) {
-    burst.push_back(engine.submit({query_kind::degree, u, 0}));
+  for (vertex_id u = 1; u < 4; ++u) {
+    query q{query_kind::bfs_distance, 0, u};
+    q.stale = true;
+    burst.push_back(engine.submit(q));
   }
   for (auto& f : burst) EXPECT_EQ(f.get().status, query_status::ok);
   fp().reset();

@@ -7,15 +7,21 @@
 //   * overlay-served fresh point reads: a read issued after ingest() but
 //     before publish() observes the new edges via the delta-aware path;
 //   * the bounded submit queue (reject and block overflow policies);
+//   * inline point reads: answered on the submitting thread with the
+//     route/version/epoch their view plan gives, a zero queue wait, no
+//     result-cache traffic, and the same admission rule as analytics;
 //   * the acceptance check: with ingest and >= 4 reader threads running
 //     simultaneously, every query result equals the result of the same
 //     static algorithm on the snapshot version it was admitted against.
 //
 // Shared-CSR storage lifetime (arrays outliving writer/store, zero-copy
 // publish) is covered in test_shared_csr.cc.
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <map>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -29,6 +35,7 @@
 #include "dynamic/stream.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
+#include "obs/registry.h"
 #include "parlib/random.h"
 #include "robust/failpoint.h"
 #include "serve/query.h"
@@ -46,6 +53,7 @@ using gbbs::serve::overlay_view;
 using gbbs::serve::pinned_snapshot;
 using gbbs::serve::query;
 using gbbs::serve::query_engine;
+using gbbs::serve::query_engine_options;
 using gbbs::serve::query_kind;
 using gbbs::serve::query_result;
 using gbbs::serve::query_route;
@@ -735,6 +743,305 @@ TEST(SelectView, ShardedRouteTable) {
                          conn, nullptr)
                 .value,
             1u);
+}
+
+// ---- inline point reads ----------------------------------------------------
+//
+// Point reads (degree / neighbors / connected / component) execute inside
+// submit() on the calling thread; analytics and standing-query
+// re-evaluations keep the reader pool. These tests arm failpoints
+// themselves, so they come last: the reset would disarm an env-armed
+// injection for the tests after them.
+
+gbbs::robust::registry& fp() { return gbbs::robust::registry::instance(); }
+
+// Spin until the named failpoint has fired `count` times (the thread that
+// hit it is then inside the injected delay).
+void await_triggers(const std::string& name, std::uint64_t count) {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (;;) {
+    std::uint64_t seen = 0;
+    for (const auto& [n, c] : fp().trigger_counts()) {
+      if (n == name) seen = c;
+    }
+    if (seen >= count) return;
+    ASSERT_LT(std::chrono::steady_clock::now(), until)
+        << name << " never fired";
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+}
+
+bool ready(const std::future<query_result>& f) {
+  return f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+}
+
+TEST(InlinePointReads, ReadyWhileTheOnlyReaderIsHeld) {
+  fp().reset();
+  snapshot_manager<empty_weight> mgr(8);
+  mgr.ingest(inserts({{0, 1, {}}, {1, 2, {}}}));
+  mgr.publish();
+  query_engine<empty_weight> engine(mgr.store(), &mgr.overlay(), 1);
+
+  // The delay fires once, on the analytics query, and holds the only
+  // reader; the point read behind it must not wait.
+  fp().configure("serve.exec.delay", gbbs::robust::failpoint_mode::always,
+                 1.0, 0, /*arg_us=*/300000);
+  auto fb = engine.submit({query_kind::bfs_distance, 0, 2});
+  await_triggers("serve.exec.delay", 1);
+  fp().configure("serve.exec.delay", gbbs::robust::failpoint_mode::off);
+  auto fd = engine.submit({query_kind::degree, 1, 0});
+  ASSERT_TRUE(ready(fd)) << "point read waited for the held reader";
+  EXPECT_FALSE(ready(fb));
+  const auto rd = fd.get();
+  EXPECT_EQ(rd.status, query_status::ok);
+  EXPECT_EQ(rd.value, 2u);
+  EXPECT_EQ(rd.route, query_route::overlay);
+  EXPECT_EQ(fb.get().value, 2u);
+  engine.drain();
+  EXPECT_EQ(engine.completed(), 2u);
+  std::uint64_t fired = 0;
+  for (const auto& [n, c] : fp().trigger_counts()) {
+    if (n == "serve.exec.delay") fired = c;
+  }
+  EXPECT_EQ(fired, 1u);
+  fp().reset();
+}
+
+// stop() returns only after every admitted query has finished, inline
+// point reads still running on client threads included: the caller may
+// destroy the store and overlay right after it.
+TEST(InlinePointReads, StopWaitsForRunningInlineReads) {
+  fp().reset();
+  snapshot_manager<empty_weight> mgr(8);
+  mgr.ingest(inserts({{0, 1, {}}}));
+  mgr.publish();
+  query_engine<empty_weight> engine(mgr.store(), &mgr.overlay(), 1);
+  fp().configure("serve.exec.delay", gbbs::robust::failpoint_mode::always,
+                 1.0, 0, /*arg_us=*/200000);
+  std::thread client([&] {
+    EXPECT_EQ(engine.submit({query_kind::degree, 0, 0}).get().value, 1u);
+  });
+  await_triggers("serve.exec.delay", 1);  // the read is mid-execution
+  engine.stop();
+  EXPECT_EQ(engine.completed(), 1u) << "stop() returned mid-read";
+  client.join();
+  fp().reset();
+}
+
+// An inline answer is exactly what its view plan gives: route, version,
+// epoch and payload equal execute_plan(select_view(...)) on the same
+// (quiescent) view, for every wiring the engine supports.
+void expect_point_reads_match_plan(
+    query_engine<empty_weight>& engine,
+    const snapshot_store<empty_weight>& store,
+    const overlay_view<empty_weight>* overlay,
+    const gbbs::serve::shard_router<empty_weight>& router, vertex_id n) {
+  for (const query_kind k : {query_kind::degree, query_kind::neighbors,
+                             query_kind::connected, query_kind::component}) {
+    for (vertex_id u = 0; u < n; u += 3) {
+      const query q{k, u, (u * 7 + 1) % n};
+      auto fut = engine.submit(q);
+      ASSERT_TRUE(ready(fut));
+      const query_result got = fut.get();
+      const query_result want = execute_plan(
+          select_view(q, gbbs::serve::fresh_source(q, overlay, router), store,
+                      0, false, gbbs::serve::kDegradedStalenessBound),
+          q, nullptr);
+      ASSERT_EQ(got.status, query_status::ok);
+      EXPECT_EQ(got.route, want.route) << query_kind_name(k) << " " << u;
+      EXPECT_EQ(got.version, want.version) << query_kind_name(k) << " " << u;
+      EXPECT_EQ(got.epoch, want.epoch) << query_kind_name(k) << " " << u;
+      EXPECT_EQ(got.value, want.value) << query_kind_name(k) << " " << u;
+      EXPECT_EQ(got.list, want.list) << query_kind_name(k) << " " << u;
+    }
+  }
+}
+
+TEST(InlinePointReads, AnswerEqualsTheirViewPlan) {
+  const vertex_id n = 32;
+  std::vector<uw_update> path;
+  for (vertex_id u = 0; u + 1 < n / 2; ++u) {
+    path.push_back({u, u + 1, {}, gbbs::dynamic::update_op::insert});
+  }
+  {
+    // Overlay engine, with an unpublished batch so the overlay and the
+    // published version differ; and the snapshot-only engine on the
+    // same store.
+    snapshot_manager<empty_weight> mgr(n);
+    mgr.ingest(std::vector<uw_update>(path));
+    mgr.publish();
+    mgr.ingest(inserts({{0, n - 1, {}}, {n - 2, n - 1, {}}}));
+    query_engine<empty_weight> fresh(mgr.store(), &mgr.overlay(), 1);
+    expect_point_reads_match_plan(fresh, mgr.store(), &mgr.overlay(), {}, n);
+    query_engine<empty_weight> pinned(mgr.store(), 1);
+    expect_point_reads_match_plan(pinned, mgr.store(), nullptr, {}, n);
+  }
+  {
+    gbbs::serve::sharded_snapshot_manager<empty_weight> mgr(
+        n, {.num_shards = 2, .block_bits = 2});
+    mgr.ingest(std::vector<uw_update>(path));
+    mgr.flush();
+    const auto router = mgr.router();
+    query_engine<empty_weight> sharded(mgr.store(), router, 1);
+    expect_point_reads_match_plan(sharded, mgr.store(), nullptr, router, n);
+  }
+}
+
+// Stage accounting: an inline read never waits in the queue, so its
+// kind's queue-wait histogram gets one sample of exactly 0 per read.
+TEST(InlinePointReads, RecordZeroQueueWait) {
+  snapshot_manager<empty_weight> mgr(8);
+  mgr.ingest(inserts({{0, 1, {}}}));
+  mgr.publish();
+  const auto queue_wait = [] {
+    for (const auto& [name, h] :
+         gbbs::obs::registry::global().read().histograms) {
+      if (name == "serve.query.queue_wait.degree") return h;
+    }
+    return gbbs::obs::histogram::summary{};
+  };
+  const auto before = queue_wait();
+  constexpr std::uint64_t kReads = 20;
+  query_engine<empty_weight> engine(mgr.store(), &mgr.overlay(), 1);
+  for (std::uint64_t i = 0; i < kReads; ++i) {
+    EXPECT_EQ(engine.submit({query_kind::degree, 0, 0}).get().value, 1u);
+  }
+  const auto after = queue_wait();
+  EXPECT_EQ(after.count - before.count, kReads);
+  EXPECT_EQ(after.sum_s, before.sum_s) << "an inline read waited";
+  const auto stats =
+      engine.latency_by_kind()[static_cast<std::size_t>(query_kind::degree)];
+  EXPECT_EQ(stats.count, kReads);
+  EXPECT_LT(stats.queue_p99_s, 1e-9);
+}
+
+TEST(InlinePointReads, BypassTheResultCache) {
+  const vertex_id n = 64;
+  snapshot_manager<empty_weight> mgr(n);
+  gbbs::serve::result_cache cache;
+  mgr.attach_cache(&cache);
+  query_engine_options opts;
+  opts.cache = &cache;
+  query_engine<empty_weight> engine(mgr.store(), &mgr.overlay(), 1, opts);
+  mgr.ingest(inserts({{0, 1, {}}, {1, 2, {}}}));
+  mgr.publish();
+
+  const std::uint64_t h0 = cache.hits();
+  const std::uint64_t m0 = cache.misses();
+  for (int rep = 0; rep < 2; ++rep) {
+    EXPECT_EQ(engine.submit({query_kind::degree, 1, 0}).get().value, 2u);
+    EXPECT_EQ(engine.submit({query_kind::neighbors, 1, 0}).get().list,
+              (std::vector<vertex_id>{0, 2}));
+    EXPECT_EQ(engine.submit({query_kind::connected, 0, 2}).get().value, 1u);
+    EXPECT_EQ(engine.submit({query_kind::component, 2, 0}).get().status,
+              query_status::ok);
+  }
+  EXPECT_EQ(cache.hits(), h0);
+  EXPECT_EQ(cache.misses(), m0);
+  EXPECT_EQ(cache.entries(), 0u);
+}
+
+// The admission rule is the analytics one, minus brownout shedding:
+// rejected after stop(), by the saturate failpoint and by a hard-full
+// queue (though a point read takes no slot), never shed at brownout
+// level 3, and its submit still ticks the ladder.
+TEST(InlinePointReads, KeepTheAdmissionRule) {
+  fp().reset();
+  const vertex_id n = 64;
+  snapshot_manager<empty_weight> mgr(n);
+  std::vector<uw_edge> path;
+  for (vertex_id u = 0; u + 1 < n; ++u) path.push_back({u, u + 1, {}});
+  mgr.ingest(inserts(path));
+  mgr.publish();
+  const query point{query_kind::degree, 1, 0};
+  const query bfs{query_kind::bfs_distance, 0, n - 1};
+
+  // Hold the only reader on one analytics query, then disarm.
+  const auto hold_reader = [](query_engine<empty_weight>& engine,
+                              const query& q) {
+    fp().reset();
+    fp().configure("serve.exec.delay", gbbs::robust::failpoint_mode::always,
+                   1.0, 0, /*arg_us=*/300000);
+    auto f = engine.submit(q);
+    await_triggers("serve.exec.delay", 1);
+    fp().configure("serve.exec.delay", gbbs::robust::failpoint_mode::off);
+    return f;
+  };
+
+  {  // Saturate failpoint, then a hard-full queue (reject policy).
+    query_engine_options opts;
+    opts.max_queue = 2;
+    query_engine<empty_weight> engine(mgr.store(), &mgr.overlay(), 1, opts);
+    fp().configure("serve.submit.saturate",
+                   gbbs::robust::failpoint_mode::always);
+    EXPECT_EQ(engine.submit(point).get().status, query_status::rejected);
+    EXPECT_EQ(engine.dropped(), 1u);
+    fp().reset();
+
+    auto held = hold_reader(engine, bfs);
+    auto q1 = engine.submit(bfs);
+    auto q2 = engine.submit(bfs);  // the queue is now hard-full
+    auto fp_full = engine.submit(point);
+    ASSERT_TRUE(ready(fp_full));
+    EXPECT_EQ(fp_full.get().status, query_status::rejected);
+    EXPECT_EQ(engine.dropped(), 2u);
+    for (auto* f : {&held, &q1, &q2}) EXPECT_EQ(f->get().value, n - 1);
+    EXPECT_EQ(engine.submit(point).get().status, query_status::ok);
+    engine.drain();
+    EXPECT_EQ(engine.completed(), 4u);
+
+    // After stop(): rejected at once, not counted as completed.
+    engine.stop();
+    auto late = engine.submit(point);
+    ASSERT_TRUE(ready(late));
+    EXPECT_EQ(late.get().status, query_status::rejected);
+    EXPECT_EQ(engine.dropped(), 3u);
+    EXPECT_EQ(engine.completed(), 4u);
+  }
+
+  {  // Block policy: a point read waits for queue space like analytics.
+    query_engine_options opts;
+    opts.max_queue = 1;
+    opts.on_overflow = query_engine_options::overflow_policy::block;
+    query_engine<empty_weight> engine(mgr.store(), &mgr.overlay(), 1, opts);
+    auto held = hold_reader(engine, bfs);
+    auto queued = engine.submit(bfs);  // fills the one slot
+    std::atomic<bool> returned{false};
+    std::thread client([&] {
+      EXPECT_EQ(engine.submit(point).get().value, 2u);
+      returned.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(returned.load()) << "point read skipped the block policy";
+    client.join();
+    EXPECT_EQ(held.get().value, n - 1);
+    EXPECT_EQ(queued.get().value, n - 1);
+    EXPECT_EQ(engine.dropped(), 0u);
+  }
+
+  {  // Brownout level 3: analytics shed, point reads served fresh.
+    query_engine_options opts;
+    opts.max_queue = 8;  // rungs at depths 2 / 4 / 6
+    opts.brownout = true;
+    query_engine<empty_weight> engine(mgr.store(), &mgr.overlay(), 1, opts);
+    std::vector<std::future<query_result>> analytics;
+    analytics.push_back(hold_reader(engine, bfs));
+    for (int i = 0; i < 6; ++i) analytics.push_back(engine.submit(bfs));
+    EXPECT_EQ(engine.degrade_level(), 2);
+    // This submit sees depth 6: the ladder steps to 3 on a point read.
+    auto fd = engine.submit(point);
+    ASSERT_TRUE(ready(fd));
+    EXPECT_EQ(engine.degrade_level(), 3);
+    const auto rd = fd.get();
+    EXPECT_EQ(rd.status, query_status::ok);
+    EXPECT_EQ(rd.value, 2u);
+    EXPECT_EQ(rd.route, query_route::overlay);
+    EXPECT_EQ(engine.submit(bfs).get().status, query_status::rejected);
+    EXPECT_EQ(engine.shed(), 1u);
+    for (auto& f : analytics) EXPECT_EQ(f.get().status, query_status::ok);
+  }
+  fp().reset();
 }
 
 }  // namespace

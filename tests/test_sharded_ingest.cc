@@ -12,7 +12,7 @@
 //     value (never a composite containing a batch some shard has not
 //     applied), and flush() must then surface everything;
 //   * ingest vs. concurrent readers (the TSan target): shard workers
-//     applying and refreshing their seqlock overlays while reader threads
+//     applying and refreshing their overlays while reader threads
 //     pin composite versions, traverse them, and route point reads
 //     through a query_engine with the shard router.
 #include <atomic>
@@ -305,7 +305,7 @@ TEST(ShardedIngest, ConcurrentReadersDuringIngest) {
           gbbs::connectivity(view)));
     }
   });
-  // Router readers: point reads against the owner shard's seqlock
+  // Router readers: inline point reads against the owner shard's
   // overlay while that shard's worker applies and refreshes.
   std::thread router_reader([&] {
     parlib::random rng(41);
