@@ -1,5 +1,6 @@
 #include "parlib/scheduler.h"
 
+#include <chrono>
 #include <cstdlib>
 #include <string>
 
@@ -63,7 +64,12 @@ scheduler::scheduler(std::size_t num_workers)
 }
 
 scheduler::~scheduler() {
-  shutting_down_.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(park_mu_);
+    shutting_down_.store(true, std::memory_order_release);
+  }
+  park_cv_.notify_all();
+  active_cv_.notify_all();
   for (auto& t : threads_) t.join();
 }
 
@@ -104,23 +110,86 @@ void scheduler::unregister_external_worker() {
 void scheduler::set_active_workers(std::size_t n) {
   if (n == 0) n = 1;
   if (n > num_workers_) n = num_workers_;
-  active_workers_.store(n, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(park_mu_);
+    active_workers_.store(n, std::memory_order_relaxed);
+  }
+  active_cv_.notify_all();
 }
 
 void scheduler::worker_loop(std::size_t id) {
   tls_worker_id = id;
   std::uint64_t rng = 0x9E3779B97F4A7C15ULL * (id + 1);
   std::size_t idle_spins = 0;
+  auto idle_since = std::chrono::steady_clock::now();
   while (!shutting_down_.load(std::memory_order_acquire)) {
-    if (id >= num_active_workers() || !steal_and_run(rng)) {
-      if (++idle_spins > 64) {
-        std::this_thread::yield();
-        idle_spins = 0;
-      }
-    } else {
+    if (id >= num_active_workers()) {
+      // Deactivated (a T(1) measurement): sleep until set_active_workers
+      // re-admits this worker, outside the parking places par_do wakes.
+      std::unique_lock<std::mutex> lock(park_mu_);
+      active_cv_.wait(lock, [this, id] {
+        return id < num_active_workers() ||
+               shutting_down_.load(std::memory_order_acquire);
+      });
+      idle_since = std::chrono::steady_clock::now();
+      continue;
+    }
+    if (steal_and_run(rng)) {
       idle_spins = 0;
+      idle_since = std::chrono::steady_clock::now();
+      continue;
+    }
+    if (++idle_spins > 64) {
+      idle_spins = 0;
+      const auto now = std::chrono::steady_clock::now();
+      if (now - idle_since < kSpinBeforePark) {
+        std::this_thread::yield();
+      } else {
+        park();
+        // Spin again only once this worker has found work; a timeout that
+        // found none goes straight back to sleep after one probe round.
+        idle_since = std::chrono::steady_clock::now() - kSpinBeforePark;
+      }
     }
   }
+}
+
+bool scheduler::any_pending_job() const {
+  const std::size_t limit = slot_limit_.load(std::memory_order_acquire);
+  for (std::size_t i = 0; i < limit; ++i) {
+    if (deques_[i].size() != 0) return true;
+  }
+  return false;
+}
+
+void scheduler::park() {
+  std::unique_lock<std::mutex> lock(park_mu_);
+  ++parked_;
+  unclaimed_parked_.store(parked_ - wake_permits_, std::memory_order_seq_cst);
+  // Re-check after announcing: a job pushed before the announcement became
+  // visible to its forker would otherwise wait out the timeout.
+  if (!any_pending_job()) {
+    parks_.fetch_add(1, std::memory_order_relaxed);
+    park_cv_.wait_for(lock, kParkTimeout, [this] {
+      return wake_permits_ != 0 ||
+             shutting_down_.load(std::memory_order_acquire);
+    });
+  }
+  if (wake_permits_ != 0) --wake_permits_;
+  --parked_;
+  unclaimed_parked_.store(parked_ - wake_permits_, std::memory_order_relaxed);
+}
+
+void scheduler::wake_one() {
+  {
+    std::lock_guard<std::mutex> lock(park_mu_);
+    if (parked_ == wake_permits_) return;  // every sleeper already woken
+    ++wake_permits_;
+    unclaimed_parked_.store(parked_ - wake_permits_,
+                            std::memory_order_relaxed);
+  }
+  wakeups_.fetch_add(1, std::memory_order_relaxed);
+  park_cv_.notify_one();
 }
 
 namespace {

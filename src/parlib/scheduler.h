@@ -38,6 +38,17 @@
 //    onto a deque it does not own (the pre-registration design funneled every
 //    foreign fork through deque 0, serializing concurrent queries and
 //    sharing one deque between unrelated threads);
+//  * *idle native workers park*: a native worker that has found nothing to
+//    steal for kSpinBeforePark blocks on a condition variable instead of
+//    spinning on, so an idle pool does not compete for cores with threads
+//    that do have work (a client looping on inline point reads, a writer,
+//    a shard thread). par_do wakes one parked worker after each push while
+//    any is parked and unclaimed; when none is, the fork path pays one
+//    relaxed load. The push and the parker's re-check of the deques are
+//    not fenced against each other, so a wake-up can be missed; a parked
+//    worker therefore also wakes every kParkTimeout to look for work. A
+//    missed wake-up costs parallelism for at most that long, never
+//    progress: a forking frame always runs its own unstolen jobs;
 //  * the number of *active* workers can be lowered at runtime (used by the
 //    benchmark harness to measure T(1) and T(P) in one process): with one
 //    active worker par_do degenerates to sequential calls and no job is ever
@@ -47,9 +58,12 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -279,6 +293,7 @@ class scheduler {
     }
     trace::emit_sched_event(trace::sched_event::fork, rjob.trace_id,
                             reinterpret_cast<std::uint64_t>(&rjob));
+    if (unclaimed_parked_.load(std::memory_order_relaxed) != 0) wake_one();
     left();
     if (deques_[id].pop_if(&rjob)) {
       rjob.execute();
@@ -311,6 +326,18 @@ class scheduler {
   std::uint64_t inline_fallbacks() const {
     return inline_fallbacks_.load(std::memory_order_relaxed);
   }
+  // Times a native worker parked (blocked after kSpinBeforePark without
+  // work), and wake-ups par_do sent to parked workers.
+  std::uint64_t parks() const {
+    return parks_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t wakeups() const {
+    return wakeups_.load(std::memory_order_relaxed);
+  }
+  // Native workers parked right now that no wake-up has been sent to.
+  std::size_t parked_workers() const {
+    return unclaimed_parked_.load(std::memory_order_relaxed);
+  }
 
   // Approximate pending jobs on one deque / across every ever-claimed
   // slot (the obs layer's occupancy gauge). Racy reads by design.
@@ -332,10 +359,24 @@ class scheduler {
  private:
   explicit scheduler(std::size_t num_workers);
 
+  // Idle time after which a native worker parks, and the longest a parked
+  // worker sleeps before it looks for work again (the bound on the cost of
+  // a missed wake-up). The spin phase is sized to outlast the sequential
+  // gap between two rounds of an algorithm, so that workers park between
+  // requests rather than between rounds.
+  static constexpr std::chrono::microseconds kSpinBeforePark{200};
+  static constexpr std::chrono::milliseconds kParkTimeout{2};
+
   void worker_loop(std::size_t id);
   // Steal one job from a random victim and run it; returns whether one ran.
   bool steal_and_run(std::uint64_t& rng_state);
   void wait_for(internal::job& j);
+  // Block the calling native worker until woken, kParkTimeout passes or
+  // the scheduler shuts down.
+  void park();
+  // Hand a wake-up to one parked worker nobody has woken yet, if any.
+  void wake_one();
+  bool any_pending_job() const;
 
   std::size_t num_workers_;
   std::atomic<std::size_t> active_workers_;
@@ -353,6 +394,20 @@ class scheduler {
   std::atomic<std::uint64_t> external_registrations_{0};
   std::atomic<std::uint64_t> unregistered_pardos_{0};
   std::atomic<std::uint64_t> inline_fallbacks_{0};
+  std::atomic<std::uint64_t> parks_{0};
+  std::atomic<std::uint64_t> wakeups_{0};
+  // Parking. parked_ and wake_permits_ are guarded by park_mu_; a permit is
+  // a wake-up sent but not yet taken by a parked worker. unclaimed_parked_
+  // mirrors parked_ - wake_permits_ for par_do's lock-free check, on its
+  // own cache line because every fork reads it. Deactivated workers wait
+  // on active_cv_, so a wake-up meant for a parked worker never lands on
+  // one that may not run jobs.
+  std::mutex park_mu_;
+  std::condition_variable park_cv_;
+  std::condition_variable active_cv_;
+  std::size_t parked_ = 0;
+  std::size_t wake_permits_ = 0;
+  alignas(64) std::atomic<std::size_t> unclaimed_parked_{0};
   std::vector<std::thread> threads_;
 };
 

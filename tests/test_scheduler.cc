@@ -4,6 +4,7 @@
 // in the TSan CI job — the deque orderings use seq_cst accesses at the
 // Dekker points precisely so TSan models them exactly.
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <thread>
@@ -117,6 +118,66 @@ TEST(Scheduler, ActiveWorkersGuardRestores) {
     EXPECT_EQ(sum, 1000);
   }
   EXPECT_EQ(parlib::num_active_workers(), before);
+}
+
+// Polls `pred` for up to five seconds; the parking tests wait on worker
+// threads that a loaded host may schedule late.
+template <typename Pred>
+bool eventually(Pred pred) {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > until) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// Two-iteration parallel_for whose first iteration (run by the forking
+// thread) waits until another thread has run the second. It completes only
+// if some worker steals the pushed job, so it proves a worker is awake.
+bool second_iteration_stolen() {
+  std::atomic<bool> second_done{false};
+  std::atomic<bool> stolen{false};
+  const auto forker = std::this_thread::get_id();
+  parlib::parallel_for(
+      0, 2,
+      [&](std::size_t i) {
+        if (i == 1) {
+          stolen.store(std::this_thread::get_id() != forker);
+          second_done.store(true);
+          return;
+        }
+        eventually([&] { return second_done.load(); });
+      },
+      1);
+  return stolen.load();
+}
+
+TEST(Scheduler, IdleWorkersParkAndAForkWakesOne) {
+  auto& sched = parlib::scheduler::instance();
+  const std::size_t sleepers = sched.num_workers() - 1;
+  const std::uint64_t parks_before = sched.parks();
+  // Idle well past the spin phase: every native worker parks.
+  ASSERT_TRUE(eventually([&] { return sched.parked_workers() == sleepers; }));
+  EXPECT_GT(sched.parks(), parks_before);
+  const std::uint64_t wakeups_before = sched.wakeups();
+  EXPECT_TRUE(second_iteration_stolen());
+  EXPECT_GT(sched.wakeups(), wakeups_before);
+}
+
+TEST(Scheduler, ReactivatedWorkersStealAgain) {
+  auto& sched = parlib::scheduler::instance();
+  {
+    parlib::active_workers_guard g(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  // Deactivated workers wait outside the parking places; restoring the
+  // count must bring them back without any fork to wake them.
+  ASSERT_TRUE(eventually([&] {
+    return sched.parked_workers() == sched.num_workers() - 1;
+  }));
+  EXPECT_TRUE(second_iteration_stolen());
 }
 
 TEST(Scheduler, SkewedWorkIsBalanced) {

@@ -1,9 +1,10 @@
 // Replay a mixed update/query trace through the snapshot-serving subsystem:
 // a single writer ingests the graph as an edge stream (publishing an
-// immutable version after every batch, with hand-off compaction), while a
-// pool of reader threads executes a randomized query mix — point reads and
-// whole-graph analytics alike served from the fresh overlay path (the
-// overlay-fused dynamic_view; no merged-CSR materialization). Reports
+// immutable version after every batch, with hand-off compaction) and
+// submits the analytics of a randomized query mix to a pool of reader
+// threads, while a second client thread submits the mix's point reads,
+// which run on that thread. Both are served from the fresh overlay path
+// (the overlay-fused dynamic_view; no merged-CSR materialization). Reports
 // update and query throughput, p50/p90/p99 query latency, and a per-kind
 // latency/SLO table.
 //
@@ -71,9 +72,11 @@
 //                     against the same partition.
 #include <array>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <future>
+#include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -263,9 +266,16 @@ int main(int argc, char** argv) {
                          auto&& final_flush, auto&& count_compactions,
                          auto&& verify_round) -> std::string {
     gbbs::dynamic::edge_stream<empty_weight> stream(stream_edges);
-    std::vector<std::future<query_result>> futures;
-    std::vector<query_result> results;  // resolved inline by the retry loop
+    // What one client thread submitted: futures of admitted queries, and
+    // results its retry loop resolved inline.
+    struct client_log {
+      std::vector<std::future<query_result>> futures;
+      std::vector<query_result> results;
+      std::uint64_t retries = 0;
+    };
+    client_log analytics_log, point_log;
     parlib::random rng(o.seed);
+    const parlib::random jitter_rng = rng.fork(0x5a17);
     std::size_t updates = 0, batches = 0, qi = 0;
     double wall = 0;
     gbbs::serve::query_engine_options opts;
@@ -290,7 +300,6 @@ int main(int argc, char** argv) {
         kinds{};
     std::uint64_t reader_forks = 0;
     std::uint64_t shed = 0, degraded = 0, transitions = 0;
-    std::uint64_t retries_done = 0;
     auto& retry_ctr =
         gbbs::obs::registry::global().get_counter("serve.query.retries");
     {
@@ -304,7 +313,8 @@ int main(int argc, char** argv) {
       // after submit is the reject signal. Jittered exponential backoff
       // between attempts keeps retry waves from re-saturating the queue in
       // lockstep.
-      auto submit_with_retry = [&](const gbbs::serve::query& q,
+      auto submit_with_retry = [&](client_log& log,
+                                   const gbbs::serve::query& q,
                                    std::size_t salt) {
         auto fut = engine.submit(q);
         for (int attempt = 0; attempt < retries; ++attempt) {
@@ -314,24 +324,51 @@ int main(int argc, char** argv) {
           }
           query_result r = fut.get();
           if (r.status != gbbs::serve::query_status::rejected) {
-            results.push_back(std::move(r));
+            log.results.push_back(std::move(r));
             return;
           }
           const double jitter =
               0.5 + static_cast<double>(
-                        rng.ith_rand((salt << 3) + 0x5a17 +
-                                     static_cast<std::size_t>(attempt)) %
+                        jitter_rng.ith_rand(
+                            (salt << 3) + static_cast<std::size_t>(attempt)) %
                         1000) /
                         1000.0;
           std::this_thread::sleep_for(
               std::chrono::duration<double, std::milli>(
                   backoff_ms * static_cast<double>(1 << attempt) * jitter));
-          ++retries_done;
+          ++log.retries;
           retry_ctr.add();
           fut = engine.submit(q);
         }
-        futures.push_back(std::move(fut));
+        log.futures.push_back(std::move(fut));
       };
+      // Point reads go out from their own client thread. They execute on
+      // the thread that submits them, where injected execution stalls
+      // land, so sending them from the ingest thread would pace the
+      // stream and the analytics behind it, and an overload run would
+      // never fill the queue.
+      std::mutex point_mu;
+      std::condition_variable point_cv;
+      std::vector<std::pair<gbbs::serve::query, std::size_t>> point_queue;
+      bool point_done = false;
+      std::thread point_client([&] {
+        std::vector<std::pair<gbbs::serve::query, std::size_t>> work;
+        for (;;) {
+          {
+            std::unique_lock<std::mutex> lock(point_mu);
+            point_cv.wait(lock, [&] {
+              return !point_queue.empty() || point_done;
+            });
+            if (point_queue.empty()) return;
+            work.swap(point_queue);
+          }
+          for (const auto& [q, salt] : work) {
+            submit_with_retry(point_log, q, salt);
+          }
+          work.clear();
+        }
+      });
+      std::vector<std::pair<gbbs::serve::query, std::size_t>> batch_points;
       wall = bench::time_once([&] {
         while (!stream.done()) {
           auto raw = stream.next_inserts(batch_size);
@@ -344,13 +381,31 @@ int main(int argc, char** argv) {
             q.deadline_s = deadline_ms / 1e3;
             // Brownout classing: point reads are the protected traffic,
             // analytics are sheddable first.
-            q.priority = gbbs::serve::is_point_read(q.kind)
-                             ? gbbs::serve::query_priority::normal
-                             : gbbs::serve::query_priority::low;
-            submit_with_retry(q, qi);
+            if (gbbs::serve::is_point_read(q.kind)) {
+              q.priority = gbbs::serve::query_priority::normal;
+              batch_points.emplace_back(q, qi);
+            } else {
+              q.priority = gbbs::serve::query_priority::low;
+              submit_with_retry(analytics_log, q, qi);
+            }
+          }
+          if (!batch_points.empty()) {
+            {
+              std::lock_guard<std::mutex> lock(point_mu);
+              point_queue.insert(point_queue.end(), batch_points.begin(),
+                                 batch_points.end());
+            }
+            point_cv.notify_one();
+            batch_points.clear();
           }
           rng = rng.next();
         }
+        {
+          std::lock_guard<std::mutex> lock(point_mu);
+          point_done = true;
+        }
+        point_cv.notify_one();
+        point_client.join();
         final_flush();
         engine.drain();
       });
@@ -365,7 +420,13 @@ int main(int argc, char** argv) {
       if (json_writer) json_writer->write_now();
     }
 
-    for (auto& f : futures) results.push_back(f.get());
+    std::vector<query_result> results;
+    std::uint64_t retries_done = 0;
+    for (client_log* log : {&analytics_log, &point_log}) {
+      for (auto& r : log->results) results.push_back(std::move(r));
+      for (auto& f : log->futures) results.push_back(f.get());
+      retries_done += log->retries;
+    }
     std::vector<double> latencies;
     latencies.reserve(results.size());
     std::array<std::uint64_t, gbbs::serve::kNumQueryStatuses> by_status{};
