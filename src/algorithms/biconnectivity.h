@@ -1,6 +1,6 @@
 // Biconnectivity (Algorithm 7, Tarjan-Vishkin as implemented in Section 4):
 // O(m) expected work, O(max(diam(G) log n, log^3 n)) depth w.h.p. on the
-// FA-MT-RAM.
+// FA-MT-RAM up to the last pass, whose depth is not polylog-bounded (below).
 //
 // Pipeline: connectivity labels -> one root per component -> multi-source
 // BFS spanning forest, whose frontiers are its levels -> leaffix/rootfix
@@ -11,6 +11,23 @@
 // space: a tree edge gets the label of its deeper endpoint, a non-tree edge
 // the label of either endpoint (they agree, as non-tree edges are never
 // removed).
+//
+// The last step never builds G minus the critical edges. Cutting the
+// critical edges out of the forest leaves pieces: a vertex's piece is its
+// nearest ancestor (itself included) that is a root or the child end of a
+// critical edge, one top-down pass over the levels. Every non-critical tree
+// edge lies inside a piece, and a tree edge between two pieces is critical
+// by construction, so the components of G minus the critical edges are the
+// pieces joined by the non-tree edges. One parallel pass over the edges
+// unites the pieces of each non-tree edge's endpoints in a concurrent
+// union-find. Its links always point from the higher root to the lower one,
+// so each set's root is its smallest piece id and the labels are the same on
+// every run and at every worker count. The trade-off: concurrent union-find
+// has no polylog depth bound (a chain of unites can serialize), like the
+// union-find connectivity baseline in baselines.h. Contracting the pieces and
+// running connectivity() on the quotient would keep the bound, but on R-MAT
+// every root-child tree edge is critical, so most non-tree edges cross
+// pieces and the quotient is nearly as large as G.
 //
 // The leaffix (bottom-up) and rootfix (top-down) sums exploit that BFS
 // levels are a valid schedule: all children of a vertex live exactly one
@@ -23,14 +40,13 @@
 #include <utility>
 #include <vector>
 
-#include "algorithms/connectivity.h"
 #include "algorithms/spanning_forest.h"
 #include "graph/graph.h"
-#include "graph/graph_builder.h"
 #include "parlib/integer_sort.h"
 #include "parlib/monoid.h"
 #include "parlib/parallel.h"
 #include "parlib/sequence_ops.h"
+#include "parlib/union_find.h"
 
 namespace gbbs {
 
@@ -172,17 +188,29 @@ biconnectivity_result biconnectivity(const Graph& g) {
     if (p == u || p == kNoVertex) return;
     if (pre[p] <= low[u] && high[u] < pre[p] + size[p]) critical[u] = 1;
   });
-  const std::uint64_t num_critical = parlib::reduce_add(
-      parlib::map(critical, [](std::uint8_t c) -> std::uint64_t { return c; }));
+  const std::uint64_t num_critical =
+      parlib::count_if(critical, [](std::uint8_t c) { return c != 0; });
 
-  // Connectivity of G with critical edges removed.
-  auto keep = [&](vertex_id a, vertex_id b, auto) {
-    if (parents[a] == b && critical[a]) return false;
-    if (parents[b] == a && critical[b]) return false;
-    return true;
-  };
-  auto residual = filter_graph(g, keep);
-  auto labels = connectivity(residual);
+  // Connectivity of G with critical edges removed: forest pieces, joined by
+  // the non-tree edges between them. A duplicate of a tree edge counts as
+  // that tree edge, as in the Low/High pass.
+  std::vector<vertex_id> labels(n);  // piece ids, then component labels
+  forest.for_each_level(/*bottom_up=*/false, [&](vertex_id v) {
+    const vertex_id p = parents[v];
+    labels[v] = (p == v || critical[v]) ? v : labels[p];
+  });
+  parlib::union_find pieces(n);
+  parlib::parallel_for(0, n, [&](std::size_t vi) {
+    const auto v = static_cast<vertex_id>(vi);
+    g.map_out_neighbors(v, [&](vertex_id, vertex_id w, auto) {
+      if (w < v && labels[w] != labels[v] && parents[v] != w &&
+          parents[w] != v) {
+        pieces.unite(labels[v], labels[w]);
+      }
+    });
+  });
+  parlib::parallel_for(
+      0, n, [&](std::size_t v) { labels[v] = pieces.find(labels[v]); });
 
   biconnectivity_result res;
   res.parents = std::move(forest.parents);

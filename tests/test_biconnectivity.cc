@@ -1,5 +1,8 @@
 // Biconnectivity vs the Hopcroft-Tarjan oracle: the edge partition into
 // biconnected components must match exactly.
+#include <algorithm>
+#include <numeric>
+#include <random>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -119,6 +122,52 @@ TEST(Biconnectivity, CompleteGraphIsOneComponent) {
   // component even though num_critical_edges > 0.
   EXPECT_LE(res.num_critical_edges, g.num_vertices());
   check_against_oracle(g);
+}
+
+// A wheel whose hub is the BFS root (the smallest id of its component):
+// every hub-leaf edge is a tree edge passing the critical test, so each
+// leaf is a piece of its own and only the rim edges join them into the
+// one biconnected component.
+TEST(Biconnectivity, WheelRimJoinsCriticalSpokes) {
+  const vertex_id leaves = 24;
+  std::vector<gbbs::edge<gbbs::empty_weight>> edges;
+  for (vertex_id i = 1; i <= leaves; ++i) {
+    edges.push_back({0, i, {}});
+    edges.push_back({i, i % leaves + 1, {}});
+  }
+  auto g = gbbs::build_symmetric_graph<gbbs::empty_weight>(leaves + 1, edges);
+  auto res = gbbs::biconnectivity(g);
+  ASSERT_EQ(res.parents[0], 0u);
+  for (vertex_id i = 1; i <= leaves; ++i) ASSERT_EQ(res.parents[i], 0u);
+  EXPECT_EQ(res.num_critical_edges, leaves);
+  std::set<vertex_id> labels;
+  for (const auto& e : edges) labels.insert(res.edge_label(e.u, e.v));
+  EXPECT_EQ(labels.size(), 1u);
+  check_against_oracle(g);
+}
+
+// Random trees plus a few random chords under a random vertex numbering:
+// many small pieces, joined by non-tree edges at different depths of the
+// BFS forest, with bridges and articulation points left between them.
+TEST(Biconnectivity, RandomTreesWithChords) {
+  for (std::uint32_t seed = 1; seed <= 20; ++seed) {
+    std::mt19937 rng(seed);
+    const vertex_id n = 20 + rng() % 180;
+    std::vector<vertex_id> id(n);
+    std::iota(id.begin(), id.end(), 0);
+    std::shuffle(id.begin(), id.end(), rng);
+    std::vector<gbbs::edge<gbbs::empty_weight>> edges;
+    for (vertex_id v = 1; v < n; ++v) {
+      edges.push_back({id[v], id[rng() % v], {}});
+    }
+    const vertex_id chords = 1 + rng() % (n / 8);
+    for (vertex_id c = 0; c < chords; ++c) {
+      edges.push_back({id[rng() % n], id[rng() % n], {}});
+    }
+    auto g = gbbs::build_symmetric_graph<gbbs::empty_weight>(n, edges);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    check_against_oracle(g);
+  }
 }
 
 TEST(Biconnectivity, DisconnectedGraphHandled) {
