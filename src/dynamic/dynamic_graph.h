@@ -444,33 +444,9 @@ class dynamic_graph {
 
   // Fresh static CSR of the live graph; O(n + m) work. The dynamic graph
   // is left untouched — use for running static algorithms mid-stream.
-  graph<W> snapshot() const {
-    std::vector<edge_id> offsets;
-    std::vector<vertex_id> nghs;
-    std::vector<W> wghs;
-    const edge_id total = merged_csr(offsets, nghs, wghs);
-    if (symmetric_) {
-      return graph<W>(n_, total, /*symmetric=*/true, std::move(offsets),
-                      std::move(nghs), std::move(wghs));
-    }
-    // Asymmetric: transpose the merged out-CSR for the in-CSR.
-    std::vector<edge<W>> rev(total);
-    parlib::parallel_for(0, n_, [&](std::size_t v) {
-      for (edge_id e = offsets[v]; e < offsets[v + 1]; ++e) {
-        W w{};
-        if constexpr (!std::is_same_v<W, empty_weight>) w = wghs[e];
-        rev[e] = {nghs[e], static_cast<vertex_id>(v), w};
-      }
-    });
-    std::vector<edge_id> in_off;
-    std::vector<vertex_id> in_ngh;
-    std::vector<W> in_w;
-    gbbs::internal::csr_from_unsorted(std::move(rev), n_, in_off, in_ngh,
-                                      in_w);
-    return graph<W>(n_, total, /*symmetric=*/false, std::move(offsets),
-                    std::move(nghs), std::move(wghs), std::move(in_off),
-                    std::move(in_ngh), std::move(in_w));
-  }
+  // Both sides are laid out from the live rows (the in-side through
+  // transposed_view, i.e. base in-CSR ⊕ in-edge overlay).
+  graph<W> snapshot() const { return copy_csr(*this); }
 
   // Fold the delta overlay into a fresh base CSR and clear it. Queries and
   // snapshots after compact() are pure CSR reads.
@@ -619,36 +595,6 @@ class dynamic_graph {
       in_deg_[u] = static_cast<vertex_id>(
           static_cast<long long>(in_deg_[u]) + ddeg);
     });
-  }
-
-  // Build the merged out-CSR (offsets/nghs/wghs) of the live graph.
-  edge_id merged_csr(std::vector<edge_id>& offsets,
-                     std::vector<vertex_id>& nghs,
-                     std::vector<W>& wghs) const {
-    auto degs = parlib::tabulate<edge_id>(
-        n_, [&](std::size_t v) { return deg_[v]; });
-    const edge_id total = parlib::scan_inplace(degs);
-    assert(total == m_);
-    offsets.assign(static_cast<std::size_t>(n_) + 1, 0);
-    parlib::parallel_for(0, n_, [&](std::size_t v) { offsets[v] = degs[v]; });
-    offsets[n_] = total;
-    nghs.resize(total);
-    if constexpr (!std::is_same_v<W, empty_weight>) wghs.resize(total);
-    parlib::parallel_for(0, n_, [&](std::size_t v) {
-      edge_id k = offsets[v];
-      map_out_neighbors_early_exit(static_cast<vertex_id>(v),
-                                   [&](vertex_id, vertex_id ngh, W w) {
-                                     nghs[k] = ngh;
-                                     if constexpr (!std::is_same_v<
-                                                       W, empty_weight>) {
-                                       wghs[k] = w;
-                                     }
-                                     ++k;
-                                     return true;
-                                   });
-      assert(k == offsets[v + 1]);
-    });
-    return total;
   }
 
   bool symmetric_ = true;

@@ -25,6 +25,7 @@
 
 #include "dynamic/update_batch.h"
 #include "graph/graph.h"
+#include "graph/graph_builder.h"
 #include "parlib/parallel.h"
 #include "parlib/sequence_ops.h"
 
@@ -89,33 +90,11 @@ std::vector<gbbs::graph<W>> split_seed(const gbbs::graph<W>& seed,
   std::vector<gbbs::graph<W>> out;
   out.reserve(part.num_shards());
   for (std::size_t s = 0; s < part.num_shards(); ++s) {
-    auto degs = parlib::tabulate<edge_id>(n, [&](std::size_t v) {
-      return part.owner(static_cast<vertex_id>(v)) == s
-                 ? static_cast<edge_id>(
-                       seed.out_degree(static_cast<vertex_id>(v)))
-                 : 0;
-    });
-    const edge_id total = parlib::scan_inplace(degs);
-    std::vector<edge_id> offsets(static_cast<std::size_t>(n) + 1);
-    parlib::parallel_for(0, n, [&](std::size_t v) { offsets[v] = degs[v]; });
-    offsets[n] = total;
-    std::vector<vertex_id> nghs(total);
-    std::vector<W> wghs;
-    if constexpr (!std::is_same_v<W, empty_weight>) wghs.resize(total);
-    parlib::parallel_for(0, n, [&](std::size_t vi) {
-      const auto v = static_cast<vertex_id>(vi);
-      if (part.owner(v) != s) return;
-      const auto row = seed.out_neighbors(v);
-      edge_id k = offsets[vi];
-      for (std::size_t j = 0; j < row.size(); ++j, ++k) {
-        nghs[k] = row[j];
-        if constexpr (!std::is_same_v<W, empty_weight>) {
-          wghs[k] = seed.out_weight(v, j);
-        }
-      }
-    });
-    out.emplace_back(n, total, seed.symmetric(), std::move(offsets),
-                     std::move(nghs), std::move(wghs));
+    out.push_back(graph_from_csr(
+        n, seed.symmetric(),
+        layout_csr(seed, [&](vertex_id u, vertex_id, W) {
+          return part.owner(u) == s;
+        })));
   }
   return out;
 }

@@ -29,6 +29,7 @@
 
 #include "graph/compression/byte_codes.h"
 #include "graph/graph.h"
+#include "graph/graph_builder.h"
 #include "parlib/monoid.h"
 #include "parlib/parallel.h"
 #include "parlib/sequence_ops.h"
@@ -341,42 +342,7 @@ class compressed_graph {
   }
 
   // Decompress back to CSR (tests round-trip through this).
-  graph<W> decompress() const {
-    auto all = edges();
-    if (symmetric_) {
-      std::vector<edge_id> offsets(static_cast<std::size_t>(n_) + 1);
-      auto degs = parlib::tabulate<edge_id>(n_, [&](std::size_t v) {
-        return out_.degree(static_cast<vertex_id>(v));
-      });
-      edge_id total = 0;
-      for (std::size_t v = 0; v < n_; ++v) {
-        offsets[v] = total;
-        total += degs[v];
-      }
-      offsets[n_] = total;
-      std::vector<vertex_id> nghs(total);
-      std::vector<W> wghs;
-      if constexpr (compression_internal::is_weighted<W>()) {
-        wghs.resize(total);
-      }
-      parlib::parallel_for(0, n_, [&](std::size_t v) {
-        std::size_t k = offsets[v];
-        map_out_neighbors_early_exit(static_cast<vertex_id>(v),
-                         [&](vertex_id, vertex_id ngh, W w) {
-                           nghs[k] = ngh;
-                           if constexpr (compression_internal::is_weighted<
-                                             W>()) {
-                             wghs[k] = w;
-                           }
-                           ++k;
-                           return true;
-                         });
-      });
-      return graph<W>(n_, m_, true, std::move(offsets), std::move(nghs),
-                      std::move(wghs));
-    }
-    return build_asymmetric_graph_from_edges(all);
-  }
+  graph<W> decompress() const { return copy_csr(*this); }
 
   // Filtered copy: keep out-edges satisfying pred. Weighted lists keep their
   // weights. The result is out-CSR only (symmetric flag set), mirroring
@@ -517,8 +483,6 @@ class compressed_graph {
     }
   }
 
-  graph<W> build_asymmetric_graph_from_edges(std::vector<edge<W>>& e) const;
-
   vertex_id n_ = 0;
   edge_id m_ = 0;
   bool symmetric_ = true;
@@ -529,18 +493,6 @@ class compressed_graph {
 template <typename W>
 using nibble_compressed_graph = compressed_graph<W, bytecode::nibble_codec>;
 
-}  // namespace gbbs
-
-#include "graph/graph_builder.h"
-
-namespace gbbs {
-
-template <typename W, typename Codec>
-graph<W> compressed_graph<W, Codec>::build_asymmetric_graph_from_edges(
-    std::vector<edge<W>>& e) const {
-  return build_asymmetric_graph<W>(n_, std::move(e));
-}
-
 // filter_graph overload so algorithm templates work on both graph kinds.
 template <typename W, typename Codec, typename F>
 compressed_graph<W, Codec> filter_graph(const compressed_graph<W, Codec>& g,
@@ -548,13 +500,9 @@ compressed_graph<W, Codec> filter_graph(const compressed_graph<W, Codec>& g,
   return g.filter(pred);
 }
 
-}  // namespace gbbs
-
-#include "graph/graph_view.h"
-
-namespace gbbs {
 // The compressed CSR models the same traversal concept as the plain one.
 static_assert(graph_view<compressed_graph<empty_weight>>);
 static_assert(graph_view<compressed_graph<std::uint32_t>>);
 static_assert(graph_view<nibble_compressed_graph<empty_weight>>);
+
 }  // namespace gbbs

@@ -29,7 +29,9 @@
 //     positions [j_lo, j_hi) of the live out-neighborhood (the blocked
 //     edgeMap's prefix-summed-degree block splitting, Algorithm 15);
 //   * count_out(v, pred) — live out-neighbors satisfying pred (LDD's
-//     cut-edge accounting, filter_graph's degree pass, contraction).
+//     cut-edge accounting, contraction, and the row sizes of
+//     layout_csr under a predicate — the degree pass of every filtered
+//     CSR, filter_graph's included).
 //
 // The probe functors below exist only to let the concept check the
 // callable requirements without instantiating anything.

@@ -11,6 +11,7 @@
 #include <numeric>
 #include <queue>
 #include <stack>
+#include <type_traits>
 #include <vector>
 
 #include "graph/graph.h"
@@ -19,6 +20,42 @@ namespace gbbs::seq {
 
 inline constexpr std::uint32_t kInfDist = std::numeric_limits<std::uint32_t>::max();
 inline constexpr std::int64_t kInfDist64 = std::numeric_limits<std::int64_t>::max();
+
+// CSR arrays of an edge list the textbook way — graph_builder's contract:
+// ids >= n and self-loops are dropped, rows are sorted by neighbor, and of
+// several copies of one (u, v) the first in input order (and its weight)
+// is kept.
+template <typename W>
+struct csr {
+  std::vector<edge_id> offsets;
+  std::vector<vertex_id> nghs;
+  std::vector<W> wghs;
+};
+
+template <typename W>
+csr<W> build_csr(vertex_id n, std::vector<edge<W>> edges) {
+  std::erase_if(edges, [n](const edge<W>& e) {
+    return e.u >= n || e.v >= n || e.u == e.v;
+  });
+  std::stable_sort(edges.begin(), edges.end(),
+                   [](const edge<W>& a, const edge<W>& b) {
+                     return a.u != b.u ? a.u < b.u : a.v < b.v;
+                   });
+  edges.erase(std::unique(edges.begin(), edges.end(),
+                          [](const edge<W>& a, const edge<W>& b) {
+                            return a.u == b.u && a.v == b.v;
+                          }),
+              edges.end());
+  csr<W> c;
+  c.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (const auto& e : edges) {
+    ++c.offsets[e.u + std::size_t{1}];
+    c.nghs.push_back(e.v);
+    if constexpr (!std::is_same_v<W, empty_weight>) c.wghs.push_back(e.w);
+  }
+  for (std::size_t v = 0; v < n; ++v) c.offsets[v + 1] += c.offsets[v];
+  return c;
+}
 
 // BFS distances (hop counts).
 template <typename Graph>

@@ -97,8 +97,8 @@ struct version_payload {
     std::call_once(merged_once_, [&] {
       obs::events().merged_csr_materializations.add();
       merged_ = composite != nullptr
-                    ? materialize_csr(composite_view<W>(composite))
-                    : materialize_csr(dynamic_view<W>(overlay));
+                    ? copy_csr(composite_view<W>(composite))
+                    : copy_csr(dynamic_view<W>(overlay));
     });
     return merged_;
   }
