@@ -58,10 +58,12 @@ void greedy_match(std::vector<prio_edge> prefix,
     parlib::parallel_for(0, winners.size(), [&](std::size_t i) {
       matching[old + i] = edge<W>{winners[i].u, winners[i].v, W{}};
     });
-    // Reset priority slots and drop edges with a matched endpoint.
+    // Reset priority slots and drop edges with a matched endpoint. Edges
+    // that share an endpoint reset its slot concurrently, hence atomic
+    // stores.
     parlib::parallel_for(0, prefix.size(), [&](std::size_t i) {
-      best[prefix[i].u] = kNoPriority;
-      best[prefix[i].v] = kNoPriority;
+      parlib::atomic_store(&best[prefix[i].u], kNoPriority);
+      parlib::atomic_store(&best[prefix[i].v], kNoPriority);
     });
     prefix = parlib::filter(prefix, [&](const prio_edge& e) {
       return !matched[e.u] && !matched[e.v];
@@ -96,9 +98,9 @@ std::vector<edge<typename Graph::weight_type>> maximal_matching(
   const std::size_t target = 3 * static_cast<std::size_t>(n) / 2 + 1;
   for (std::size_t step = 0;
        step < filter_steps && edges.size() > 2 * target; ++step) {
-    auto pris = parlib::map(edges, [](const auto& e) { return e.pri; });
     const std::uint64_t pivot = parlib::approximate_kth_smallest(
-        pris, target, parlib::random(0x77 + step));
+        edges.size(), target, [&](std::size_t i) { return edges[i].pri; },
+        parlib::random(0x77 + step));
     auto prefix = parlib::filter(
         edges, [&](const auto& e) { return e.pri <= pivot; });
     mm_internal::greedy_match<W>(std::move(prefix), matched, best, matching);

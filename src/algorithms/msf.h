@@ -196,13 +196,10 @@ msf_result msf(const Graph& g, bool use_filtering = true,
     // Step 1 reads the CSR. The pivot's rank among weights sampled over
     // all m positions (two per undirected edge) scales to target.
     ++res.num_filter_steps;
-    const parlib::random rng(0x317);
-    auto sample = parlib::sorted(parlib::tabulate<std::uint32_t>(
-        std::min<edge_id>(1024, m), [&](std::size_t i) {
-          return edge_at(g, starts, rng.ith_rand(i) % m).w;
-        }));
-    const std::uint32_t pivot =
-        sample[std::min(sample.size() - 1, 2 * target * sample.size() / m)];
+    const std::uint32_t pivot = parlib::approximate_kth_smallest(
+        m, 2 * target,
+        [&](std::size_t i) { return edge_at(g, starts, i).w; },
+        parlib::random(0x317));
     msf_internal::boruvka(
         parents,
         extract(g, starts, parents,
@@ -214,9 +211,9 @@ msf_result msf(const Graph& g, bool use_filtering = true,
     for (std::size_t step = 1;
          step < filter_steps && edges.size() > 2 * target; ++step) {
       ++res.num_filter_steps;
-      auto weights = parlib::map(edges, [](const auto& e) { return e.w; });
       const std::uint32_t next_pivot = parlib::approximate_kth_smallest(
-          weights, target, parlib::random(0x317 + step));
+          edges.size(), target, [&](std::size_t i) { return edges[i].w; },
+          parlib::random(0x317 + step));
       auto light = parlib::filter(
           edges, [&](const auto& e) { return e.w <= next_pivot; });
       if (light.empty() || light.size() == edges.size()) break;

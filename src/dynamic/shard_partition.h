@@ -79,10 +79,11 @@ std::vector<update_batch<W>> split_batch(const update_batch<W>& batch,
   return out;
 }
 
-// Split a seed CSR into per-shard CSRs: shard s keeps the full vertex id
-// space but only the rows it owns (every other row is empty). The union
-// of the shards' rows is exactly the seed — each directed edge (u, v)
-// lives in owner(u)'s block only.
+// Split a symmetric seed CSR into per-shard CSRs: shard s keeps the full
+// vertex id space but only the rows it owns (every other row is empty).
+// The union of the shards' rows is exactly the seed — each directed edge
+// (u, v) lives in owner(u)'s block only. The pieces are marked symmetric
+// (they carry no in-CSR), as the sharded path is.
 template <typename W>
 std::vector<gbbs::graph<W>> split_seed(const gbbs::graph<W>& seed,
                                        const shard_partition& part) {
@@ -91,7 +92,7 @@ std::vector<gbbs::graph<W>> split_seed(const gbbs::graph<W>& seed,
   out.reserve(part.num_shards());
   for (std::size_t s = 0; s < part.num_shards(); ++s) {
     out.push_back(graph_from_csr(
-        n, seed.symmetric(),
+        n, /*symmetric=*/true,
         layout_csr(seed, [&](vertex_id u, vertex_id, W) {
           return part.owner(u) == s;
         })));

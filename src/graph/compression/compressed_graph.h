@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "graph/compression/byte_codes.h"
@@ -55,18 +56,17 @@ constexpr bool is_weighted() {
   return !std::is_same_v<W, empty_weight>;
 }
 
-// Encoded byte size of one adjacency list: the block-offset header plus the
-// code units of all deltas (and weights). `get` returns the j-th
-// (neighbor, weight) pair.
-template <typename W, typename Codec, typename Get>
-std::size_t list_encoded_size(vertex_id v, vertex_id deg, const Get& get) {
-  if (deg == 0) return 0;
-  const std::size_t nb = (deg - 1) / kCompressedBlockSize + 1;
+// Encoded size of one adjacency list: its degree, and its bytes (the
+// block-offset header plus the code units of all deltas and weights).
+// `row(v, emit)` calls emit(neighbor, weight) on v's list in order.
+template <typename W, typename Codec, typename Row>
+std::pair<vertex_id, std::size_t> list_encoded_size(vertex_id v,
+                                                    const Row& row) {
+  vertex_id deg = 0;
   std::size_t units = 0;
   vertex_id prev = 0;
-  for (vertex_id j = 0; j < deg; ++j) {
-    const auto [ngh, w] = get(j);
-    if (j % kCompressedBlockSize == 0) {
+  row(v, [&](vertex_id ngh, W w) {
+    if (deg % kCompressedBlockSize == 0) {
       units += Codec::encoded_units(bytecode::zigzag_encode(
           static_cast<std::int64_t>(ngh) - static_cast<std::int64_t>(v)));
     } else {
@@ -78,24 +78,28 @@ std::size_t list_encoded_size(vertex_id v, vertex_id deg, const Get& get) {
       (void)w;
     }
     prev = ngh;
-  }
-  return 4 * (nb - 1) + Codec::bytes_for_units(units);
+    ++deg;
+  });
+  if (deg == 0) return {0, 0};
+  const std::size_t nb = (deg - 1) / kCompressedBlockSize + 1;
+  return {deg, 4 * (nb - 1) + Codec::bytes_for_units(units)};
 }
 
-// Encode one adjacency list into data[start..]. Layout: header of
-// 4*(nb-1) bytes holding the unit offset of blocks 1..nb-1 within the data
-// region, followed by the (byte-aligned) data region of code units.
-template <typename W, typename Codec, typename Get>
+// Encode v's list of `deg` neighbors (as `row` emits it) into data[start..].
+// Layout: header of 4*(nb-1) bytes holding the unit offset of blocks
+// 1..nb-1 within the data region, followed by the (byte-aligned) data
+// region of code units.
+template <typename W, typename Codec, typename Row>
 void encode_list(std::uint8_t* data, std::size_t start, vertex_id v,
-                 vertex_id deg, const Get& get) {
+                 vertex_id deg, const Row& row) {
   if (deg == 0) return;
   const std::size_t nb = (deg - 1) / kCompressedBlockSize + 1;
   const std::size_t header_bytes = 4 * (nb - 1);
   std::uint8_t* region = data + start + header_bytes;
   std::size_t upos = 0;
   vertex_id prev = 0;
-  for (vertex_id j = 0; j < deg; ++j) {
-    const auto [ngh, w] = get(j);
+  vertex_id j = 0;
+  row(v, [&](vertex_id ngh, W w) {
     if (j % kCompressedBlockSize == 0) {
       const std::size_t block = j / kCompressedBlockSize;
       if (block > 0) {
@@ -115,7 +119,8 @@ void encode_list(std::uint8_t* data, std::size_t start, vertex_id v,
       (void)w;
     }
     prev = ngh;
-  }
+    ++j;
+  });
 }
 
 // One compressed direction (out or in) of a graph.
@@ -326,17 +331,19 @@ class compressed_graph {
     cg.n_ = g.num_vertices();
     cg.m_ = g.num_edges();
     cg.symmetric_ = g.symmetric();
-    compress_side(
-        cg.out_, cg.n_, [&](vertex_id v) { return g.out_degree(v); },
-        [&](vertex_id v, vertex_id j) {
-          return std::make_pair(g.out_neighbors(v)[j], g.out_weight(v, j));
-        });
+    encode_side(cg.out_, cg.n_, [&](vertex_id v, const auto& emit) {
+      g.map_out_neighbors_early_exit(v, [&](vertex_id, vertex_id u, W w) {
+        emit(u, w);
+        return true;
+      });
+    });
     if (!cg.symmetric_) {
-      compress_side(
-          cg.in_, cg.n_, [&](vertex_id v) { return g.in_degree(v); },
-          [&](vertex_id v, vertex_id j) {
-            return std::make_pair(g.in_neighbors(v)[j], g.in_weight(v, j));
-          });
+      encode_side(cg.in_, cg.n_, [&](vertex_id v, const auto& emit) {
+        g.map_in_neighbors_early_exit(v, [&](vertex_id, vertex_id u, W w) {
+          emit(u, w);
+          return true;
+        });
+      });
     }
     return cg;
   }
@@ -352,37 +359,13 @@ class compressed_graph {
     compressed_graph cg;
     cg.n_ = n_;
     cg.symmetric_ = true;
-    auto& side = cg.out_;
-    side.degrees.assign(n_, 0);
-    parlib::parallel_for(0, n_, [&](std::size_t v) {
-      side.degrees[v] = static_cast<vertex_id>(
-          count_out(static_cast<vertex_id>(v), pred));
+    encode_side(cg.out_, n_, [&](vertex_id v, const auto& emit) {
+      map_out_neighbors_early_exit(v, [&](vertex_id src, vertex_id ngh, W w) {
+        if (pred(src, ngh, w)) emit(ngh, w);
+        return true;
+      });
     });
-    std::vector<std::uint64_t> sizes(n_);
-    parlib::parallel_for(0, n_, [&](std::size_t vi) {
-      const auto v = static_cast<vertex_id>(vi);
-      std::vector<std::pair<vertex_id, W>> kept = collect_filtered(v, pred);
-      sizes[vi] = compression_internal::list_encoded_size<W, Codec>(
-          v, static_cast<vertex_id>(kept.size()),
-          [&](vertex_id j) { return kept[j]; });
-    });
-    side.offsets.resize(static_cast<std::size_t>(n_) + 1);
-    std::uint64_t total_bytes = 0;
-    for (std::size_t v = 0; v < n_; ++v) {
-      side.offsets[v] = total_bytes;
-      total_bytes += sizes[v];
-    }
-    side.offsets[n_] = total_bytes;
-    side.bytes.assign(total_bytes, 0);
-    parlib::parallel_for(0, n_, [&](std::size_t vi) {
-      const auto v = static_cast<vertex_id>(vi);
-      std::vector<std::pair<vertex_id, W>> kept = collect_filtered(v, pred);
-      compression_internal::encode_list<W, Codec>(
-          side.bytes.data(), side.offsets[vi], v,
-          static_cast<vertex_id>(kept.size()),
-          [&](vertex_id j) { return kept[j]; });
-    });
-    auto degs64 = parlib::map(side.degrees, [](vertex_id d) {
+    auto degs64 = parlib::map(cg.out_.degrees, [](vertex_id d) {
       return static_cast<edge_id>(d);
     });
     cg.m_ = parlib::reduce_add(degs64);
@@ -390,43 +373,27 @@ class compressed_graph {
   }
 
  private:
-  template <typename F>
-  std::vector<std::pair<vertex_id, W>> collect_filtered(
-      vertex_id v, const F& pred) const {
-    std::vector<std::pair<vertex_id, W>> kept;
-    map_out_neighbors_early_exit(v, [&](vertex_id src, vertex_id ngh, W w) {
-      if (pred(src, ngh, w)) kept.emplace_back(ngh, w);
-      return true;
-    });
-    return kept;
-  }
-
-  template <typename DegFn, typename GetFn>
-  static void compress_side(
+  // Lays out one side from row visitors (see list_encoded_size): degrees
+  // and byte sizes in one parallel pass, a scan into byte offsets, then a
+  // parallel encode of every row into its own byte range.
+  template <typename Row>
+  static void encode_side(
       compression_internal::compressed_side<W, Codec>& side, vertex_id n,
-      const DegFn& deg, const GetFn& get) {
-    side.degrees = parlib::tabulate<vertex_id>(n, [&](std::size_t v) {
-      return deg(static_cast<vertex_id>(v));
-    });
-    std::vector<std::uint64_t> sizes(n);
+      const Row& row) {
+    side.degrees.resize(n);
+    side.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
     parlib::parallel_for(0, n, [&](std::size_t vi) {
-      const auto v = static_cast<vertex_id>(vi);
-      sizes[vi] = compression_internal::list_encoded_size<W, Codec>(
-          v, side.degrees[vi], [&](vertex_id j) { return get(v, j); });
+      const auto [deg, bytes] =
+          compression_internal::list_encoded_size<W, Codec>(
+              static_cast<vertex_id>(vi), row);
+      side.degrees[vi] = deg;
+      side.offsets[vi] = bytes;
     });
-    side.offsets.resize(static_cast<std::size_t>(n) + 1);
-    std::uint64_t total = 0;
-    for (std::size_t v = 0; v < n; ++v) {
-      side.offsets[v] = total;
-      total += sizes[v];
-    }
-    side.offsets[n] = total;
-    side.bytes.assign(total, 0);
+    side.bytes.assign(parlib::scan_inplace(side.offsets), 0);
     parlib::parallel_for(0, n, [&](std::size_t vi) {
-      const auto v = static_cast<vertex_id>(vi);
       compression_internal::encode_list<W, Codec>(
-          side.bytes.data(), side.offsets[vi], v, side.degrees[vi],
-          [&](vertex_id j) { return get(v, j); });
+          side.bytes.data(), side.offsets[vi], static_cast<vertex_id>(vi),
+          side.degrees[vi], row);
     });
   }
 

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "parlib/parallel.h"
@@ -104,18 +105,20 @@ std::vector<T> sorted(std::vector<T> data, const Less& less = Less{}) {
   return data;
 }
 
-// Approximate k-th smallest (Section 4, MSF filtering): samples
-// O(num_samples) elements and returns the sample value whose rank scales to
-// k. The returned pivot splits `data` into a low side of ~k elements.
-template <typename T, typename Less = std::less<T>>
-T approximate_kth_smallest(const std::vector<T>& data, std::size_t k,
-                           random rng, std::size_t num_samples = 1024,
-                           const Less& less = Less{}) {
-  const std::size_t n = data.size();
+// Approximate k-th smallest (Section 4, MSF filtering) of the n values
+// at(0), ..., at(n - 1): samples O(num_samples) of them and returns the
+// sample value whose rank scales to k. The returned pivot splits the values
+// into a low side of ~k elements. Only the sampled values are read, so a
+// caller need not materialize the n values.
+template <typename At, typename Less = std::less<>>
+auto approximate_kth_smallest(std::size_t n, std::size_t k, const At& at,
+                              random rng, std::size_t num_samples = 1024,
+                              const Less& less = Less{}) {
   num_samples = std::min(num_samples, n);
-  std::vector<T> samples(num_samples);
+  std::vector<std::decay_t<decltype(at(std::size_t{0}))>> samples(
+      num_samples);
   for (std::size_t i = 0; i < num_samples; ++i) {
-    samples[i] = data[rng.ith_rand(i) % n];
+    samples[i] = at(rng.ith_rand(i) % n);
   }
   std::sort(samples.begin(), samples.end(), less);
   const std::size_t rank = std::min(

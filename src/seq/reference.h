@@ -447,6 +447,25 @@ std::uint64_t triangle_count(const Graph& g) {
   return count;
 }
 
+// Greedy coloring in the given vertex order: each vertex takes the
+// smallest color held by none of its already-colored neighbors. Colored in
+// the same order, Jones-Plassmann gives exactly this coloring.
+template <typename Graph>
+std::vector<vertex_id> greedy_coloring(const Graph& g,
+                                       const std::vector<vertex_id>& order) {
+  std::vector<vertex_id> color(g.num_vertices(), kNoVertex);
+  std::vector<std::uint8_t> used;
+  for (vertex_id v : order) {
+    used.assign(g.out_degree(v) + 1, 0);
+    for (vertex_id u : g.out_neighbors(v)) {
+      if (color[u] < used.size()) used[color[u]] = 1;
+    }
+    color[v] = static_cast<vertex_id>(
+        std::find(used.begin(), used.end(), 0) - used.begin());
+  }
+  return color;
+}
+
 // ---- validity checkers (for problems whose outputs are not unique) ------
 
 // MIS: independent + maximal.

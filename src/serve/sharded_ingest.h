@@ -52,6 +52,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -94,9 +95,14 @@ class sharded_snapshot_manager {
 
   // Seed from an existing static snapshot: each shard adopts its owned
   // rows as its base CSR (split_seed), so no shard ever re-normalizes or
-  // merges another shard's edges.
+  // merges another shard's edges. The sharded path is symmetric-only, so a
+  // directed seed throws std::invalid_argument.
   explicit sharded_snapshot_manager(gbbs::graph<W> seed, options opt = {})
       : part_(opt.num_shards, opt.block_bits), cc_(0) {
+    if (!seed.symmetric()) {
+      throw std::invalid_argument(
+          "sharded_snapshot_manager: the seed graph must be symmetric");
+    }
     auto pieces = dynamic::split_seed(seed, part_);
     shards_.reserve(part_.num_shards());
     for (std::size_t s = 0; s < part_.num_shards(); ++s) {

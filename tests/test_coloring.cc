@@ -1,6 +1,8 @@
 // Graph coloring: propriety, Delta+1 bound, LLF vs LF heuristics, shapes
-// with known chromatic structure.
+// with known chromatic structure, and exact agreement of both schedules with
+// sequential greedy coloring in the same order.
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -8,6 +10,7 @@
 
 #include "algorithms/coloring.h"
 #include "graph/compression/compressed_graph.h"
+#include "parlib/random.h"
 #include "seq/reference.h"
 #include "test_graphs.h"
 
@@ -41,6 +44,49 @@ TEST_P(ColoringSuite, LfIsProperAndWithinDeltaPlusOne) {
   auto colors = gbbs::color_graph(g, gbbs::coloring_heuristic::lf);
   EXPECT_TRUE(gbbs::seq::is_valid_coloring(g, colors, max_degree(g) + 1))
       << GetParam();
+}
+
+// The Jones-Plassmann order, built independently of the algorithm: a
+// higher key first (ceil(log2(deg + 1)) for LLF, deg for LF), ties broken
+// by position in the seed's random permutation.
+template <typename Graph>
+std::vector<vertex_id> jp_order(const Graph& g,
+                                gbbs::coloring_heuristic heuristic,
+                                parlib::random rng) {
+  const vertex_id n = g.num_vertices();
+  const auto perm = parlib::random_permutation(n, rng);
+  std::vector<std::uint32_t> rank(n);
+  std::vector<std::uint64_t> key(n);
+  for (vertex_id i = 0; i < n; ++i) rank[perm[i]] = i;
+  for (vertex_id v = 0; v < n; ++v) {
+    const std::uint64_t d = g.out_degree(v);
+    std::uint64_t b = 0;
+    while ((std::uint64_t{1} << b) < d + 1) ++b;
+    key[v] = heuristic == gbbs::coloring_heuristic::llf ? b : d;
+  }
+  std::vector<vertex_id> order(n);
+  for (vertex_id v = 0; v < n; ++v) order[v] = v;
+  std::sort(order.begin(), order.end(), [&](vertex_id a, vertex_id b) {
+    if (key[a] != key[b]) return key[a] > key[b];
+    return rank[a] < rank[b];
+  });
+  return order;
+}
+
+TEST_P(ColoringSuite, MatchesSequentialGreedyInTheSameOrder) {
+  auto g = gbbs::testing::make_symmetric(GetParam());
+  for (auto heuristic :
+       {gbbs::coloring_heuristic::llf, gbbs::coloring_heuristic::lf}) {
+    for (std::uint64_t seed : {0xc01ull, 5ull}) {
+      const auto want = gbbs::seq::greedy_coloring(
+          g, jp_order(g, heuristic, parlib::random(seed)));
+      EXPECT_EQ(gbbs::color_graph(g, heuristic, parlib::random(seed)), want)
+          << GetParam() << " seed " << seed;
+      EXPECT_EQ(gbbs::color_graph_async(g, heuristic, parlib::random(seed)),
+                want)
+          << GetParam() << " seed " << seed;
+    }
+  }
 }
 
 TEST(Coloring, PathUsesTwoOrThreeColors) {

@@ -219,6 +219,33 @@ TEST(Compression, FilterKeepsPredicateEdges) {
   }
 }
 
+// compressed_graph::filter encodes the kept edges straight from the
+// decoded rows; it must give exactly the CSR filter, weights included, also
+// where rows span several blocks.
+template <typename Codec>
+void expect_filter_matches_csr_filter() {
+  auto g = gbbs::rmat_symmetric_weighted(10, 16000, 5);
+  auto pred = [](vertex_id u, vertex_id v, std::uint32_t w) {
+    return (u + v + w) % 3 != 0;
+  };
+  auto want = gbbs::filter_graph(g, pred);
+  vertex_id max_degree = 0;
+  for (vertex_id v = 0; v < want.num_vertices(); ++v) {
+    max_degree = std::max(max_degree, want.out_degree(v));
+  }
+  ASSERT_GT(max_degree, gbbs::kCompressedBlockSize);
+  auto got = compressed_graph<std::uint32_t, Codec>::compress(g)
+                 .filter(pred)
+                 .decompress();
+  EXPECT_TRUE(got.symmetric());
+  expect_same_neighborhoods(got, want);
+}
+
+TEST(Compression, FilterMatchesCsrFilterAcrossBlocks) {
+  expect_filter_matches_csr_filter<gbbs::bytecode::byte_codec>();
+  expect_filter_matches_csr_filter<gbbs::bytecode::nibble_codec>();
+}
+
 // ---- nibble codec -------------------------------------------------------
 
 TEST(NibbleCodec, UnitRoundTrip) {

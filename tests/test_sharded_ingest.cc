@@ -11,6 +11,8 @@
 //     publish() while the straggler lags must re-publish the old clock
 //     value (never a composite containing a batch some shard has not
 //     applied), and flush() must then surface everything;
+//   * the seeded constructor — a symmetric seed splits into the shards
+//     with the seed as the composite, and a directed seed throws;
 //   * ingest vs. concurrent readers (the TSan target): shard workers
 //     applying and refreshing their overlays while reader threads
 //     pin composite versions, traverse them, and route point reads
@@ -19,6 +21,7 @@
 #include <cstdint>
 #include <future>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -214,6 +217,26 @@ TEST(ShardedIngest, EmptySlicesGrowInLockstep) {
     ASSERT_TRUE(idx != nullptr);
     EXPECT_EQ(idx->n, 102u);
   }
+}
+
+TEST(ShardedIngest, SeedSplitsAcrossShards) {
+  // A symmetric seed is split by row owner; the composite is the seed.
+  const auto seed = gbbs::rmat_symmetric(7, 1024, 3);
+  sharded_snapshot_manager<empty_weight> mgr(
+      seed, {.num_shards = 2, .block_bits = 3});
+  auto snap = mgr.pin();
+  ASSERT_TRUE(snap);
+  expect_same_csr(snap.view(), seed);
+}
+
+TEST(ShardedIngest, DirectedSeedThrows) {
+  // The sharded path is symmetric-only: split_seed would hand each shard a
+  // directed CSR with no in-side, which the first in_degree reads past.
+  auto seed = gbbs::rmat_directed(7, 1024, 3);
+  ASSERT_FALSE(seed.symmetric());
+  EXPECT_THROW((sharded_snapshot_manager<empty_weight>(
+                   std::move(seed), {.num_shards = 2, .block_bits = 3})),
+               std::invalid_argument);
 }
 
 // ---- straggler shard vs the composite clock ------------------------------

@@ -134,8 +134,8 @@ TEST(Sort, ApproximateKthSmallestIsInRightNeighborhood) {
     std::swap(v[i], v[parlib::hash64(i) % (i + 1)]);
   }
   const std::size_t k = n / 3;
-  const auto pivot =
-      parlib::approximate_kth_smallest(v, k, parlib::random(7));
+  const auto pivot = parlib::approximate_kth_smallest(
+      n, k, [&](std::size_t i) { return v[i]; }, parlib::random(7));
   // The pivot's true rank should be within a few percent of k.
   EXPECT_GT(pivot, static_cast<std::uint64_t>(k * 0.8));
   EXPECT_LT(pivot, static_cast<std::uint64_t>(k * 1.2));
