@@ -8,7 +8,7 @@
 // critical tree edges (u, p(u)) where PN(p) <= Low(u) and High(u) < PN(p) +
 // Size(p) -> connectivity on G minus critical edges. The resulting
 // per-vertex labels answer per-edge biconnectivity queries in O(1) with 2n
-// space: a tree edge gets the label of its deeper endpoint, a non-tree edge
+// space: a tree edge gets the label of its child endpoint, a non-tree edge
 // the label of either endpoint (they agree, as non-tree edges are never
 // removed).
 //
@@ -32,95 +32,38 @@
 // The leaffix (bottom-up) and rootfix (top-down) sums exploit that BFS
 // levels are a valid schedule: all children of a vertex live exactly one
 // level deeper, so one parallel pass per level suffices. The BFS records
-// each frontier as it goes, so the levels are never rebuilt from the tree.
+// each frontier as it goes, so the levels are never rebuilt from the tree,
+// and no children lists are built either: a bottom-up pass has each vertex
+// push into its parent (fetch-and-add for Size, write-min/write-max for Low
+// and High), and the top-down preorder pass hands each child its interval
+// from a per-parent cursor, PN(v) = fetch-and-add(next(p), Size(v)). The
+// order among siblings is then whatever the workers make it, which changes
+// no answer: "w lies in subtree(p)" is interval membership under any
+// preorder, so the critical edges and the labels are the same on every run.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <span>
-#include <utility>
 #include <vector>
 
 #include "algorithms/spanning_forest.h"
 #include "graph/graph.h"
-#include "parlib/integer_sort.h"
-#include "parlib/monoid.h"
+#include "parlib/atomics.h"
 #include "parlib/parallel.h"
 #include "parlib/sequence_ops.h"
 #include "parlib/union_find.h"
 
 namespace gbbs {
 
-// A BFS forest organized for level-synchronous leaffix/rootfix passes.
-struct rooted_forest {
-  std::vector<vertex_id> parents;
-  std::vector<std::uint32_t> level;
-  std::vector<std::vector<vertex_id>> waves;  // waves[d] = vertices at depth d
-  std::vector<edge_id> child_offsets;         // CSR over children
-  std::vector<vertex_id> children;
-
-  std::span<const vertex_id> children_of(vertex_id v) const {
-    return {children.data() + child_offsets[v],
-            children.data() + child_offsets[v + 1]};
-  }
-  // f(v) on every vertex, one parallel pass per level: top-down, or
-  // bottom-up (leaves first) for the leaffix sums.
-  template <typename F>
-  void for_each_level(bool bottom_up, const F& f) const {
-    for (std::size_t i = 0; i < waves.size(); ++i) {
-      const auto& wave = waves[bottom_up ? waves.size() - 1 - i : i];
-      parlib::parallel_for(0, wave.size(), [&](std::size_t j) { f(wave[j]); });
-    }
-  }
-};
-
-// `levels` are the BFS's frontiers: levels[d] holds the vertices at depth d.
-inline rooted_forest build_rooted_forest(
-    std::vector<vertex_id> parents,
-    std::vector<std::vector<vertex_id>> levels) {
-  const std::size_t n = parents.size();
-  rooted_forest f;
-  f.parents = std::move(parents);
-  // Children CSR: non-root vertices stably sorted by parent. Each parent's
-  // last child records the end of its run; v's children start at the
-  // largest end recorded below v (an exclusive max-scan).
-  f.children = parlib::filter(parlib::iota<vertex_id>(n), [&](vertex_id v) {
-    return f.parents[v] != v && f.parents[v] != kNoVertex;
-  });
-  std::size_t bits = 1;
-  while ((n >> bits) != 0) ++bits;
-  parlib::integer_sort_inplace(
-      f.children, [&](vertex_id v) { return f.parents[v]; }, bits);
-  f.child_offsets.assign(n + 1, 0);
-  parlib::parallel_for(0, f.children.size(), [&](std::size_t i) {
-    const vertex_id p = f.parents[f.children[i]];
-    if (i + 1 == f.children.size() || f.parents[f.children[i + 1]] != p) {
-      f.child_offsets[p] = i + 1;
-    }
-  });
-  parlib::scan_into(f.child_offsets, f.child_offsets,
-                    parlib::max_monoid<edge_id>());
-  f.level.assign(n, 0);
-  for (std::size_t d = 1; d < levels.size(); ++d) {
-    const auto& level = levels[d];
-    parlib::parallel_for(0, level.size(), [&](std::size_t i) {
-      f.level[level[i]] = static_cast<std::uint32_t>(d);
-    });
-  }
-  f.waves = std::move(levels);
-  return f;
-}
-
 struct biconnectivity_result {
   std::vector<vertex_id> parents;        // BFS forest
-  std::vector<std::uint32_t> level;      // forest depth
   std::vector<vertex_id> vertex_labels;  // CC labels of G \ critical edges
   std::uint64_t num_critical_edges = 0;
 
-  // Biconnectivity label of edge (u, v) in O(1).
+  // Biconnectivity label of edge (u, v) in O(1): a tree edge's child end,
+  // else either end.
   vertex_id edge_label(vertex_id u, vertex_id v) const {
-    if (parents[u] == v) return vertex_labels[u];
-    if (parents[v] == u) return vertex_labels[v];
-    return vertex_labels[level[u] > level[v] ? u : v];
+    return parents[u] == v ? vertex_labels[u] : vertex_labels[v];
   }
 };
 
@@ -128,33 +71,40 @@ template <typename Graph>
 biconnectivity_result biconnectivity(const Graph& g) {
   const vertex_id n = g.num_vertices();
   auto sf = spanning_forest(g);
-  auto forest =
-      build_rooted_forest(std::move(sf.parents), std::move(sf.levels));
-  const auto& parents = forest.parents;
+  const auto& parents = sf.parents;
+  // f(v, parent) on every non-root vertex, one parallel pass per level:
+  // top-down, or bottom-up (leaves first) for the leaffix sums.
+  auto for_each_level = [&](bool bottom_up, const auto& f) {
+    for (std::size_t i = 1; i < sf.levels.size(); ++i) {
+      const auto& level = sf.levels[bottom_up ? sf.levels.size() - i : i];
+      parlib::parallel_for(0, level.size(), [&](std::size_t j) {
+        f(level[j], parents[level[j]]);
+      });
+    }
+  };
 
-  // Leaffix: subtree sizes, bottom-up over waves.
+  // Leaffix: subtree sizes, each vertex adding its own into its parent.
   std::vector<std::uint64_t> size(n, 1);
-  forest.for_each_level(/*bottom_up=*/true, [&](vertex_id v) {
-    for (const vertex_id ch : forest.children_of(v)) size[v] += size[ch];
+  for_each_level(/*bottom_up=*/true, [&](vertex_id v, vertex_id p) {
+    parlib::fetch_and_add(&size[p], size[v]);
   });
 
   // Preorder numbers: trees are laid out consecutively (offset = prefix sum
-  // of root subtree sizes); within a tree, rootfix top-down.
-  std::vector<std::uint64_t> pre(n, 0);
+  // of root subtree sizes); within a tree, rootfix top-down, each child
+  // taking the next Size(v) numbers of its parent's cursor.
+  std::vector<std::uint64_t> pre(n, 0), next(n, 0);
   {
     auto tree_sizes = parlib::map(
         sf.roots, [&](vertex_id r) { return size[r]; });
     parlib::scan_inplace(tree_sizes);
     parlib::parallel_for(0, sf.roots.size(), [&](std::size_t i) {
       pre[sf.roots[i]] = tree_sizes[i];
+      next[sf.roots[i]] = tree_sizes[i] + 1;
     });
   }
-  forest.for_each_level(/*bottom_up=*/false, [&](vertex_id v) {
-    std::uint64_t next = pre[v] + 1;
-    for (const vertex_id ch : forest.children_of(v)) {
-      pre[ch] = next;
-      next += size[ch];
-    }
+  for_each_level(/*bottom_up=*/false, [&](vertex_id v, vertex_id p) {
+    pre[v] = parlib::fetch_and_add(&next[p], size[v]);
+    next[v] = pre[v] + 1;
   });
 
   // Leaffix Low/High over preorder numbers of non-tree neighbors.
@@ -173,11 +123,9 @@ biconnectivity_result biconnectivity(const Graph& g) {
     low[v] = lo;
     high[v] = hi;
   });
-  forest.for_each_level(/*bottom_up=*/true, [&](vertex_id v) {
-    for (const vertex_id ch : forest.children_of(v)) {
-      low[v] = std::min(low[v], low[ch]);
-      high[v] = std::max(high[v], high[ch]);
-    }
+  for_each_level(/*bottom_up=*/true, [&](vertex_id v, vertex_id p) {
+    parlib::write_min(&low[p], low[v]);
+    parlib::write_max(&high[p], high[v]);
   });
 
   // Critical tree edges (u, p(u)): subtree(u) never escapes subtree(p(u)).
@@ -194,10 +142,9 @@ biconnectivity_result biconnectivity(const Graph& g) {
   // Connectivity of G with critical edges removed: forest pieces, joined by
   // the non-tree edges between them. A duplicate of a tree edge counts as
   // that tree edge, as in the Low/High pass.
-  std::vector<vertex_id> labels(n);  // piece ids, then component labels
-  forest.for_each_level(/*bottom_up=*/false, [&](vertex_id v) {
-    const vertex_id p = parents[v];
-    labels[v] = (p == v || critical[v]) ? v : labels[p];
+  auto labels = parlib::iota<vertex_id>(n);  // piece ids, then labels
+  for_each_level(/*bottom_up=*/false, [&](vertex_id v, vertex_id p) {
+    if (!critical[v]) labels[v] = labels[p];
   });
   parlib::union_find pieces(n);
   parlib::parallel_for(0, n, [&](std::size_t vi) {
@@ -213,8 +160,7 @@ biconnectivity_result biconnectivity(const Graph& g) {
       0, n, [&](std::size_t v) { labels[v] = pieces.find(labels[v]); });
 
   biconnectivity_result res;
-  res.parents = std::move(forest.parents);
-  res.level = std::move(forest.level);
+  res.parents = std::move(sf.parents);
   res.vertex_labels = std::move(labels);
   res.num_critical_edges = num_critical;
   return res;

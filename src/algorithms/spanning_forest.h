@@ -1,19 +1,20 @@
-// Spanning forest via connectivity + multi-source BFS (Section 4,
-// Biconnectivity): connectivity labels pick one root per component, then a
-// single simultaneous BFS from all roots builds a rooted forest in O(m)
-// work and O(diam(G) log n) depth.
+// Spanning forests (Section 4, Biconnectivity). spanning_forest(): the
+// connectivity labels pick one root per component, then a single
+// simultaneous BFS from all roots builds a rooted forest in O(m) work and
+// O(diam(G) log n) depth, and records its frontiers as the forest's levels,
+// which biconnectivity schedules its leaffix and rootfix passes by.
+// spanning_forest_ldd(): the unrooted forest that connectivity's own
+// recursion implies, with no BFS.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
 #include "algorithms/bfs.h"
 #include "algorithms/connectivity.h"
-#include "algorithms/ldd.h"
-#include "graph/contraction.h"
 #include "graph/graph.h"
+#include "parlib/random.h"
 
 namespace gbbs {
 
@@ -39,56 +40,20 @@ spanning_forest_result spanning_forest(const Graph& g) {
   return res;
 }
 
-// Spanning forest extracted directly from the connectivity recursion —
-// the improvement Section 4 sketches ("the connectivity algorithm can be
-// modified to compute a spanning forest in the same work and depth, which
-// would avoid the breadth-first-search"). Each LDD level contributes its
-// ball-growing parent edges (a spanning tree of every cluster); contraction
-// keeps one representative original edge per quotient edge, so the forest
-// of the recursively-solved quotient maps back to original edges. Runs in
-// O(m) expected work and O(log^3 n) depth w.h.p. — no diameter term.
-namespace spanning_forest_internal {
-
-template <typename Graph>
-void ldd_forest_rec(const Graph& g, double beta, parlib::random rng,
-                    std::vector<std::pair<vertex_id, vertex_id>>& out,
-                    // maps this level's edges to root-level edges; null at
-                    // the top level (identity).
-                    const std::function<std::pair<vertex_id, vertex_id>(
-                        vertex_id, vertex_id)>& to_original) {
-  const vertex_id n = g.num_vertices();
-  std::vector<vertex_id> parents;
-  auto clusters = ldd(g, beta, rng, &parents);
-  for (vertex_id v = 0; v < n; ++v) {
-    if (parents[v] != kNoVertex) {
-      out.push_back(to_original ? to_original(v, parents[v])
-                                : std::make_pair(v, parents[v]));
-    }
-  }
-  auto con = contract(g, clusters, /*keep_representatives=*/true);
-  if (con.quotient.num_edges() == 0) return;
-  const double next_beta =
-      con.quotient.num_vertices() == n ? beta * 0.5 : beta;
-  // Quotient edge -> this level's original endpoints -> root level.
-  auto lift = [&, to_original](vertex_id qu,
-                               vertex_id qv) -> std::pair<vertex_id, vertex_id> {
-    auto [a, b] = con.representative(qu, qv);
-    return to_original ? to_original(a, b) : std::make_pair(a, b);
-  };
-  ldd_forest_rec(con.quotient, next_beta, rng.next(), out, lift);
-}
-
-}  // namespace spanning_forest_internal
-
 // Forest edges (u, v) of g, one per tree edge, using only the connectivity
-// machinery (no BFS).
+// machinery (no BFS) — the improvement Section 4 sketches ("the
+// connectivity algorithm can be modified to compute a spanning forest in the
+// same work and depth, which would avoid the breadth-first-search"). It is
+// connectivity()'s own recursion with its forest out-pointer set (see
+// connectivity.h): O(m) expected work and O(log^3 n) depth w.h.p., no
+// diameter term.
 template <typename Graph>
 std::vector<std::pair<vertex_id, vertex_id>> spanning_forest_ldd(
     const Graph& g, double beta = 0.2,
     parlib::random rng = parlib::random(0x5f1dd)) {
-  std::vector<std::pair<vertex_id, vertex_id>> out;
-  spanning_forest_internal::ldd_forest_rec(g, beta, rng, out, nullptr);
-  return out;
+  std::vector<std::pair<vertex_id, vertex_id>> forest;
+  connectivity_internal::connectivity_rec(g, beta, rng, &forest);
+  return forest;
 }
 
 // The forest's edges (child, parent), for verification and downstream use.

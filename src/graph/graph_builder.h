@@ -5,9 +5,10 @@
 // what filter_graph, copy_csr (the dynamic graph's snapshot, decompression
 // and the serving layer's merged view), the sharded-ingest seed split and
 // the binary writer are made of, and its offsets-and-fill loop
-// (internal::layout_rows) is the one the edge-list builders reuse: there a
-// row is the vertex's run of the edge list after a stable two-pass radix
-// sort by (u, v), minus self-loops and repeats (first weight wins). The
+// (internal::layout_rows) is the one connectivity's compacted quotient and
+// the edge-list builders reuse: in the builders a row is the vertex's run
+// of the edge list after a stable two-pass radix sort by (u, v), minus
+// self-loops and repeats (first weight wins). The
 // directed builder lays out its in-CSR the same way from the reversed
 // out-CSR, which arrives ordered by target and so needs only the pass by
 // source.

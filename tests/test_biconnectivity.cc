@@ -127,22 +127,39 @@ TEST(Biconnectivity, CompleteGraphIsOneComponent) {
 // A wheel whose hub is the BFS root (the smallest id of its component):
 // every hub-leaf edge is a tree edge passing the critical test, so each
 // leaf is a piece of its own and only the rim edges join them into the
-// one biconnected component.
+// one biconnected component. With 8192 spokes, every leaf pushes its size,
+// preorder interval and Low/High into the hub within one level pass.
 TEST(Biconnectivity, WheelRimJoinsCriticalSpokes) {
-  const vertex_id leaves = 24;
-  std::vector<gbbs::edge<gbbs::empty_weight>> edges;
-  for (vertex_id i = 1; i <= leaves; ++i) {
-    edges.push_back({0, i, {}});
-    edges.push_back({i, i % leaves + 1, {}});
+  for (const vertex_id leaves : {24u, 8192u}) {
+    SCOPED_TRACE(std::to_string(leaves) + " spokes");
+    std::vector<gbbs::edge<gbbs::empty_weight>> edges;
+    for (vertex_id i = 1; i <= leaves; ++i) {
+      edges.push_back({0, i, {}});
+      edges.push_back({i, i % leaves + 1, {}});
+    }
+    auto g =
+        gbbs::build_symmetric_graph<gbbs::empty_weight>(leaves + 1, edges);
+    auto res = gbbs::biconnectivity(g);
+    ASSERT_EQ(res.parents[0], 0u);
+    for (vertex_id i = 1; i <= leaves; ++i) ASSERT_EQ(res.parents[i], 0u);
+    EXPECT_EQ(res.num_critical_edges, leaves);
+    std::set<vertex_id> labels;
+    for (const auto& e : edges) labels.insert(res.edge_label(e.u, e.v));
+    EXPECT_EQ(labels.size(), 1u);
+    check_against_oracle(g);
   }
-  auto g = gbbs::build_symmetric_graph<gbbs::empty_weight>(leaves + 1, edges);
+}
+
+// A star without a rim: every spoke is a bridge, its own component.
+TEST(Biconnectivity, StarIsAllBridges) {
+  const vertex_id n = 8192;
+  auto g = gbbs::build_symmetric_graph<gbbs::empty_weight>(
+      n, gbbs::star_edges(n));
   auto res = gbbs::biconnectivity(g);
-  ASSERT_EQ(res.parents[0], 0u);
-  for (vertex_id i = 1; i <= leaves; ++i) ASSERT_EQ(res.parents[i], 0u);
-  EXPECT_EQ(res.num_critical_edges, leaves);
+  EXPECT_EQ(res.num_critical_edges, n - 1);
   std::set<vertex_id> labels;
-  for (const auto& e : edges) labels.insert(res.edge_label(e.u, e.v));
-  EXPECT_EQ(labels.size(), 1u);
+  for (vertex_id v = 1; v < n; ++v) labels.insert(res.edge_label(0, v));
+  EXPECT_EQ(labels.size(), n - 1);
   check_against_oracle(g);
 }
 
@@ -175,10 +192,11 @@ TEST(Biconnectivity, DisconnectedGraphHandled) {
   check_against_oracle(g);
 }
 
-// The forest's levels are the BFS frontiers: on a graph with a torus, a
-// path, a star and isolated vertices, each vertex's level is its hop
-// distance from its component's root, the recorded levels partition the
-// vertices, and each parent sits exactly one level above its child.
+// The spanning forest's levels, which biconnectivity schedules its passes
+// by, are the BFS frontiers: on a graph with a torus, a path, a star and
+// isolated vertices, the recorded levels partition the vertices, each
+// vertex's level is its hop distance from its tree's root, and each parent
+// sits exactly one level above its child.
 TEST(Biconnectivity, LevelsAreBfsFrontiers) {
   const vertex_id torus_n = 4 * 4 * 4, path_n = 20, star_n = 15;
   auto edges = gbbs::torus3d_edges(4);
@@ -190,38 +208,35 @@ TEST(Biconnectivity, LevelsAreBfsFrontiers) {
   }
   const vertex_id n = torus_n + path_n + star_n + 5;  // 5 isolated
   auto g = gbbs::build_symmetric_graph<gbbs::empty_weight>(n, edges);
-  auto res = gbbs::biconnectivity(g);
-  std::vector<int> covered(n, 0);
-  for (vertex_id r = 0; r < n; ++r) {
-    if (res.parents[r] != r) continue;
-    const auto dist = gbbs::seq::bfs(g, r);
-    for (vertex_id v = 0; v < n; ++v) {
-      if (dist[v] == gbbs::seq::kInfDist) continue;
-      ++covered[v];
-      EXPECT_EQ(res.level[v], dist[v]) << "root " << r << " vertex " << v;
-    }
-  }
-  for (vertex_id v = 0; v < n; ++v) {
-    ASSERT_EQ(covered[v], 1) << v;
-    if (res.parents[v] != v) {
-      EXPECT_EQ(res.level[res.parents[v]] + 1, res.level[v]) << v;
-    }
-  }
   auto sf = gbbs::spanning_forest(g);
+  std::vector<std::size_t> level(n, 0);
   std::vector<int> seen(n, 0);
   for (std::size_t d = 0; d < sf.levels.size(); ++d) {
     for (const vertex_id v : sf.levels[d]) {
       ++seen[v];
-      EXPECT_EQ(res.level[v], d) << v;
-      if (d > 0) {
-        ASSERT_NE(sf.parents[v], v);
-        EXPECT_EQ(res.level[sf.parents[v]] + 1, d) << v;
-      } else {
-        EXPECT_EQ(sf.parents[v], v);
+      level[v] = d;
+      if (d == 0) {
+        EXPECT_EQ(sf.parents[v], v) << v;
       }
     }
   }
-  for (vertex_id v = 0; v < n; ++v) EXPECT_EQ(seen[v], 1) << v;
+  for (vertex_id v = 0; v < n; ++v) ASSERT_EQ(seen[v], 1) << v;
+  std::vector<int> covered(n, 0);
+  for (vertex_id r = 0; r < n; ++r) {
+    if (sf.parents[r] != r) continue;
+    const auto dist = gbbs::seq::bfs(g, r);
+    for (vertex_id v = 0; v < n; ++v) {
+      if (dist[v] == gbbs::seq::kInfDist) continue;
+      ++covered[v];
+      EXPECT_EQ(level[v], dist[v]) << "root " << r << " vertex " << v;
+    }
+  }
+  for (vertex_id v = 0; v < n; ++v) {
+    ASSERT_EQ(covered[v], 1) << v;
+    if (sf.parents[v] != v) {
+      EXPECT_EQ(level[sf.parents[v]] + 1, level[v]) << v;
+    }
+  }
   check_against_oracle(g);
 }
 

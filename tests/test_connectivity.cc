@@ -1,5 +1,6 @@
 // Connectivity vs the sequential oracle (partition equality), spanning
 // forest validity, multiple betas and seeds.
+#include <algorithm>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -98,9 +99,10 @@ INSTANTIATE_TEST_SUITE_P(
     Graphs, SpanningForestSuite,
     ::testing::ValuesIn(gbbs::testing::symmetric_suite_names()));
 
-TEST_P(SpanningForestSuite, LddForestSpansComponentsAcyclically) {
-  // The BFS-free spanning forest (Section 4's sketched improvement).
-  auto g = gbbs::testing::make_symmetric(GetParam());
+// The BFS-free spanning forest (Section 4's sketched improvement) has
+// n - #components real edges and no cycle.
+template <typename Graph>
+void check_ldd_forest(const Graph& g) {
   auto edges = gbbs::spanning_forest_ldd(g);
   auto cc = gbbs::seq::connectivity(g);
   std::set<vertex_id> comps(cc.begin(), cc.end());
@@ -117,6 +119,31 @@ TEST_P(SpanningForestSuite, LddForestSpansComponentsAcyclically) {
       ASSERT_TRUE(uf.same_set(v, u));
     }
   }
+}
+
+TEST_P(SpanningForestSuite, LddForestSpansComponentsAcyclically) {
+  check_ldd_forest(gbbs::testing::make_symmetric(GetParam()));
+}
+
+// Small components become isolated clusters and stop recursing while the
+// torus goes on: their ball edges must still be in the forest, once.
+TEST(SpanningForest, LddForestWithIsolatedClusters) {
+  check_ldd_forest(gbbs::testing::two_components(50));
+  auto edges = gbbs::torus3d_edges(5);
+  vertex_id n = 5 * 5 * 5;
+  for (int i = 0; i < 20; ++i, n += 3) {  // triangles
+    edges.push_back({n, n + 1, {}});
+    edges.push_back({n + 1, n + 2, {}});
+    edges.push_back({n + 2, n, {}});
+  }
+  for (int i = 0; i < 10; ++i, n += 6) {  // paths
+    for (const auto& e : gbbs::path_edges(6)) {
+      edges.push_back({n + e.u, n + e.v, {}});
+    }
+  }
+  n += 10;  // isolated vertices
+  check_ldd_forest(
+      gbbs::build_symmetric_graph<gbbs::empty_weight>(n, std::move(edges)));
 }
 
 TEST_P(SpanningForestSuite, ForestEdgesSpanComponentsAcyclically) {

@@ -1,5 +1,7 @@
 // Tests for graph contraction (the recursion step of connectivity).
+#include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -75,6 +77,28 @@ TEST(Contraction, QuotientConnectivityMatchesClusterAdjacency) {
   // Each slab touches its two cyclic neighbors.
   for (vertex_id v = 0; v < 6; ++v) {
     ASSERT_EQ(res.quotient.out_degree(v), 2u) << v;
+  }
+}
+
+// With keep_representatives, representative(a, b) is an edge of g whose
+// endpoints lie in clusters a and b, the min side's endpoint first, for
+// either argument order: the LDD spanning forest lifts its edges by it.
+TEST(Contraction, RepresentativesAreEdgesBetweenTheirClusters) {
+  auto g = gbbs::rmat_symmetric(9, 8000, 5);
+  std::vector<vertex_id> labels(g.num_vertices());
+  for (vertex_id v = 0; v < g.num_vertices(); ++v) labels[v] = v / 16 * 16;
+  auto res = gbbs::contract(g, labels, /*keep_representatives=*/true);
+  ASSERT_GT(res.quotient.num_edges(), 0u);
+  for (vertex_id a = 0; a < res.quotient.num_vertices(); ++a) {
+    for (const vertex_id b : res.quotient.out_neighbors(a)) {
+      const auto [x, y] = res.representative(a, b);
+      EXPECT_EQ(res.representative(b, a), std::make_pair(x, y));
+      EXPECT_EQ(res.cluster_to_vertex[labels[x]], std::min(a, b));
+      EXPECT_EQ(res.cluster_to_vertex[labels[y]], std::max(a, b));
+      const auto row = g.out_neighbors(x);
+      EXPECT_TRUE(std::binary_search(row.begin(), row.end(), y))
+          << "(" << x << "," << y << ") not an edge of g";
+    }
   }
 }
 
