@@ -25,6 +25,13 @@ gate generous on top of that (shared CI runners are noisy and the
 committed baselines come from a different machine entirely); watch the
 archived artifacts for finer trends.
 
+Sections whose rows are different problem sizes rather than repeats of
+one measurement are the exception: `publish_sweep`'s rows (n=16 and
+n=256) are gated each on its own, keyed by `n` (PER_ROW_KEY). The median
+of two rows is their mean, which put the small row's microsecond p99
+under the floor together with the larger one, so the larger row was not
+compared at all in most runs.
+
 Tiny absolute medians (< 50 us / 5 ns) are skipped outright: they sit at
 timer-resolution level where any ratio is meaningless. Sections or
 metrics present on only one side are ignored — the gate only compares
@@ -69,6 +76,10 @@ MIN_ABS = {"ms": 0.05, "s": 5e-5, "ns": 5.0}
 MIN_ABS_OVERRIDE = {"hit_p50_ms": 0.01}
 
 
+# Sections gated row by row, keyed by this row field.
+PER_ROW_KEY = {"publish_sweep": "n"}
+
+
 def unit_of(name):
     if name.endswith("_ms"):
         return "ms"
@@ -84,6 +95,9 @@ def load_groups(path):
     groups = {}
     for row in doc.get("rows", []):
         section = row.get("section", "")
+        key = PER_ROW_KEY.get(section)
+        if key in row:
+            section = f"{section}[{key}={row[key]}]"
         for name, val in row.items():
             if is_gated_metric(name) and isinstance(val, (int, float)):
                 groups.setdefault((section, name), []).append(val)

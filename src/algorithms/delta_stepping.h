@@ -3,7 +3,7 @@
 // implementation is between 1.07-1.1x slower than the delta-stepping
 // implementation from GAP"). Vertices are bucketed by floor(dist / delta);
 // each bucket is processed to a fixed point over light edges (w <= delta)
-// before heavy edges are relaxed once.
+// before heavy edges are relaxed once. relax_f has no cond.
 #pragma once
 
 #include <cstdint>
@@ -27,12 +27,11 @@ struct relax_f {
   std::uint32_t delta;
   bool light_phase;  // light: w <= delta; heavy: w > delta
 
-  bool cond(vertex_id) const { return true; }
   std::optional<std::uint32_t> update_atomic(vertex_id u, vertex_id v,
                                              std::uint32_t w) const {
     const bool is_light = w <= delta;
     if (is_light != light_phase) return std::nullopt;
-    const std::uint32_t nd = (*dist)[u] + w;
+    const std::uint32_t nd = parlib::atomic_load(&(*dist)[u]) + w;
     std::optional<std::uint32_t> res;
     if (nd < parlib::atomic_load(&(*dist)[v])) {
       if (parlib::test_and_set(&(*flags)[v])) res = nd;

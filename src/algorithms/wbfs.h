@@ -4,7 +4,7 @@
 // increasing order settles vertices (integer weights >= 1 guarantee no
 // future relaxation below the current bucket). Relaxations inside a round
 // use priority-write(min) plus a test-and-set round flag so each improved
-// vertex is shipped to update_buckets exactly once.
+// vertex is shipped to update_buckets exactly once. wbfs_f has no cond.
 #pragma once
 
 #include <cstdint>
@@ -26,15 +26,12 @@ struct wbfs_f {
   std::vector<std::uint32_t>* dist;
   std::vector<std::uint8_t>* flags;
 
-  bool cond(vertex_id) const { return true; }
   std::optional<std::uint32_t> update_atomic(vertex_id u, vertex_id v,
                                              std::uint32_t w) const {
-    const std::uint32_t nd = (*dist)[u] + w;
+    const std::uint32_t nd = parlib::atomic_load(&(*dist)[u]) + w;
     std::optional<std::uint32_t> res;
     if (nd < parlib::atomic_load(&(*dist)[v])) {
-      if (parlib::test_and_set(&(*flags)[v])) {
-        res = (*dist)[v];  // old distance (its current bucket)
-      }
+      if (parlib::test_and_set(&(*flags)[v])) res = nd;
       parlib::write_min(&(*dist)[v], nd);
     }
     return res;

@@ -12,19 +12,20 @@
 // The functor F supplies:
 //   bool update(u, v, w)        — applied in dense mode (one writer per v);
 //   bool update_atomic(u, v, w) — applied in sparse mode (concurrent);
-//   bool cond(v)                — whether v can still be acquired.
+//   bool cond(v)                — optional: whether v can still be acquired.
 // Returning true from update means "v joins the output frontier".
 //
 // Kernels:
 //  * dense     — over all v with cond(v), scan in-neighbors sequentially and
 //                stop early once cond(v) flips (the paper's optimized dense
-//                traversal trading O(log n) depth for O(in-deg(v))).
+//                traversal, O(in-deg(v)) depth); with no cond, scan them all.
 //  * blocked   — edgeMapBlocked (Algorithm 15): logically split the incident
-//                edges into bsize-blocks by binary-searching the prefix-summed
+//                edges into blocks by binary-searching the prefix-summed
 //                degree array, pack live neighbors block-locally, then one
 //                scan + gather. Writes O(live neighbors) slots instead of
-//                O(sum of degrees). The sparse mode of edge_map and the
-//                default of edge_map_data, generic over the emitted element.
+//                O(sum of degrees). About 8 blocks per active worker, of
+//                [kEdgeMapMinBlock, kEdgeMapBlock] edges. The sparse mode of
+//                edge_map and the default of edge_map_data.
 //  * unblocked — edgeMapSparse: one output slot per incident edge, then
 //                filter. Reachable only through edge_map_data, as the
 //                baseline Table 6 compares the blocked kernel against.
@@ -49,16 +50,34 @@
 namespace gbbs {
 
 // Which traversal edge_map runs. `automatic` is Ligra's rule: dense once the
-// frontier's size plus out-degree sum exceeds m / kDenseDivisor. `sparse`
-// always runs the blocked kernel (MIS and coloring: the dense kernel's early
-// exit on cond does not suit their counting updates); `dense` always runs
-// the dense one.
+// frontier's size plus out-degree sum exceeds m / kDenseDivisor: 20 if the
+// dense kernel can exit early on cond, 3 if it has none and reads all n + m.
+// `sparse` always runs the blocked kernel (MIS and coloring: the dense
+// kernel's early exit on cond does not suit their counting updates);
+// `dense` always runs the dense one.
 enum class edge_map_direction { automatic, sparse, dense };
 
 namespace internal {
 
-inline constexpr std::size_t kEdgeMapBlock = 4096;
-inline constexpr std::uint64_t kDenseDivisor = 20;
+inline constexpr std::uint64_t kEdgeMapBlock = 4096;  // block size cap
+inline constexpr std::uint64_t kEdgeMapMinBlock = 512;
+
+template <typename F>
+concept has_cond = requires(const F& f, vertex_id v) { f.cond(v); };
+template <typename F>
+inline constexpr std::uint64_t kDenseDivisor = has_cond<F> ? 20 : 3;
+
+template <typename F>
+bool cond_or_true(const F& f, vertex_id v) {
+  if constexpr (has_cond<F>) return f.cond(v);
+  return true;
+}
+
+// Edges per block for a blocked round of `total` edges.
+inline std::uint64_t block_size(std::uint64_t total) {
+  return std::clamp<std::uint64_t>(total / (8 * parlib::num_active_workers()),
+                                   kEdgeMapMinBlock, kEdgeMapBlock);
+}
 
 template <graph_view Graph>
 std::uint64_t frontier_degree_sum(const Graph& g, const vertex_subset& vs) {
@@ -101,10 +120,10 @@ vertex_subset edge_map_dense(const Graph& g, vertex_subset& frontier, F& f) {
     if ((vi & 255u) == 0 ? parlib::cancel::poll() : parlib::cancel::cancelled())
       return;
     const auto v = static_cast<vertex_id>(vi);
-    if (!f.cond(v)) return;
+    if (!cond_or_true(f, v)) return;
     g.map_in_neighbors_early_exit(v, [&](vertex_id dst, vertex_id u, auto w) {
       if (in_frontier[u] && f.update(u, dst, w)) next[dst] = 1;
-      return f.cond(dst);
+      return cond_or_true(f, dst);
     });
   });
   return vertex_subset(n, std::move(next));
@@ -121,32 +140,25 @@ std::vector<T> edge_map_blocked(const Graph& g,
   std::uint64_t total = 0;
   const auto offsets = degree_offsets(g, ids, &total);
   if (total == 0) return {};
-  const std::size_t nblocks = (total - 1) / kEdgeMapBlock + 1;
-  // B[i] = index of the frontier vertex containing edge i * bsize.
-  std::vector<std::size_t> block_vertex(nblocks);
-  parlib::parallel_for(0, nblocks, [&](std::size_t b) {
-    const std::uint64_t edge_lo = b * kEdgeMapBlock;
-    // Last offset <= edge_lo.
-    const auto it =
-        std::upper_bound(offsets.begin(), offsets.end(), edge_lo);
-    block_vertex[b] = static_cast<std::size_t>(it - offsets.begin()) - 1;
-  });
+  const std::uint64_t bsize = block_size(total);
+  const std::size_t nblocks = (total - 1) / bsize + 1;
   std::vector<T> scratch(total);
   std::vector<std::size_t> live_counts(nblocks);
   parlib::parallel_for(
       0, nblocks,
       [&](std::size_t b) {
-        // One deadline poll per 4K-edge block; a cancelled block contributes
+        // One deadline poll per block; a cancelled block contributes
         // nothing to the output frontier.
         if (parlib::cancel::poll()) {
           live_counts[b] = 0;
           return;
         }
-        const std::uint64_t edge_lo = b * kEdgeMapBlock;
-        const std::uint64_t edge_hi = std::min<std::uint64_t>(
-            total, edge_lo + kEdgeMapBlock);
+        const std::uint64_t edge_lo = b * bsize;
+        const std::uint64_t edge_hi = std::min(total, edge_lo + bsize);
         std::size_t out_k = edge_lo;
-        std::size_t vi = block_vertex[b];
+        // The frontier vertex containing edge_lo: last offset <= edge_lo.
+        std::size_t vi = std::upper_bound(offsets.begin(), offsets.end(),
+                                          edge_lo) - offsets.begin() - 1;
         std::uint64_t e = edge_lo;
         while (e < edge_hi && vi < ids.size()) {
           const vertex_id u = ids[vi];
@@ -170,9 +182,8 @@ std::vector<T> edge_map_blocked(const Graph& g,
   const std::size_t n_live = parlib::scan_inplace(out_offsets);
   std::vector<T> live(n_live);
   parlib::parallel_for(0, nblocks, [&](std::size_t b) {
-    std::copy(scratch.begin() + b * kEdgeMapBlock,
-              scratch.begin() + b * kEdgeMapBlock + live_counts[b],
-              live.begin() + out_offsets[b]);
+    std::copy_n(scratch.begin() + b * bsize, live_counts[b],
+                live.begin() + out_offsets[b]);
   });
   const auto& ev = obs::events();
   ev.edgemap_edges_examined.add(total);
@@ -224,14 +235,15 @@ vertex_subset edge_map(const Graph& g, vertex_subset& frontier, F f,
   if (deg_sum == 0) return vertex_subset(g.num_vertices());
   if (dir == edge_map_direction::dense ||
       (dir == edge_map_direction::automatic &&
-       frontier.size() + deg_sum > g.num_edges() / internal::kDenseDivisor)) {
+       frontier.size() + deg_sum >
+           g.num_edges() / internal::kDenseDivisor<F>)) {
     obs::events().edgemap_dense_vertices.add(g.num_vertices());
     return internal::edge_map_dense(g, frontier, f);
   }
   frontier.to_sparse();
   auto emit = [&](vertex_id u, vertex_id v,
                   auto w) -> std::optional<vertex_id> {
-    if (f.cond(v) && f.update_atomic(u, v, w)) return v;
+    if (internal::cond_or_true(f, v) && f.update_atomic(u, v, w)) return v;
     return std::nullopt;
   };
   return vertex_subset(g.num_vertices(), internal::edge_map_blocked<vertex_id>(
@@ -251,7 +263,7 @@ vertex_subset_data<D> edge_map_data(const Graph& g, vertex_subset& frontier,
   if (frontier.empty()) return vertex_subset_data<D>(g.num_vertices());
   frontier.to_sparse();
   auto emit = [&](vertex_id u, vertex_id v, auto w) -> std::optional<KV> {
-    if (f.cond(v)) {
+    if (internal::cond_or_true(f, v)) {
       if (std::optional<D> r = f.update_atomic(u, v, w)) return KV{v, *r};
     }
     return std::nullopt;

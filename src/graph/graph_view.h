@@ -12,7 +12,7 @@
 // A model supplies:
 //   * num_vertices() / num_edges() — n and the *live* directed edge count
 //     (for delta-overlaid models this must include overlay inserts and
-//     exclude erases; edgeMap's dense/sparse direction threshold is m/20,
+//     exclude erases; edgeMap's direction threshold is a fraction of m,
 //     so under-reporting m biases traversal toward the wrong mode);
 //   * symmetric() — whether the in-side aliases the out-side;
 //   * out_degree(v) / in_degree(v) — live degrees;

@@ -14,6 +14,7 @@
 #include "graph/generators.h"
 #include "obs/registry.h"
 #include "parlib/atomics.h"
+#include "parlib/scheduler.h"
 
 namespace {
 
@@ -166,9 +167,9 @@ TEST(EdgeMap, ZeroDegreeFrontierSkipsDenseScan) {
   EXPECT_EQ(dense.value(), before + 20);
 }
 
+// No cond: edge_map_data calls update_atomic on every edge.
 struct min_payload_f {
   std::vector<std::uint32_t>* dist;
-  bool cond(vertex_id) const { return true; }
   std::optional<std::uint32_t> update_atomic(vertex_id u, vertex_id v,
                                              empty_weight) const {
     const std::uint32_t nd = (*dist)[u] + 1;
@@ -241,70 +242,182 @@ TEST(EdgeMapData, BlockedWritesFewerSlotsThanUnblocked) {
   EXPECT_LE(blocked_writes, unblocked_writes);
 }
 
-// A frontier whose degree sum spans several kEdgeMapBlock blocks, with the
-// hub's edges starting mid-block and crossing two block boundaries, and
-// some targets already visited: the blocked kernel must split the hub's
-// edge range across blocks without dropping or duplicating a target.
-TEST(EdgeMapData, BlocksStraddlingAVertexMatchReference) {
-  const vertex_id kLeaves = 10000;
+// A star hub with `leaves` private leaves, and three low-degree vertices,
+// each with five private leaves and an edge to the hub.
+struct hub_case {
+  gbbs::graph<empty_weight> g;
+  std::vector<vertex_id> ids;  // the hub second, so its edges start mid-block
+  std::vector<std::uint8_t> visited;
+};
+
+hub_case make_hub_case(vertex_id leaves) {
   const vertex_id hub = 0;
-  // Three low-degree frontier vertices, each with five private leaves and
-  // an edge to the hub.
-  const std::vector<vertex_id> small = {kLeaves + 1, kLeaves + 2,
-                                        kLeaves + 3};
-  const vertex_id n = kLeaves + 4 + 5 * 3;
+  const std::vector<vertex_id> small = {leaves + 1, leaves + 2,
+                                        leaves + 3};
+  const vertex_id n = leaves + 4 + 5 * 3;
   std::vector<gbbs::edge<empty_weight>> edges;
-  for (vertex_id v = 1; v <= kLeaves; ++v) edges.push_back({hub, v, {}});
-  vertex_id next_leaf = kLeaves + 4;
+  for (vertex_id v = 1; v <= leaves; ++v) edges.push_back({hub, v, {}});
+  vertex_id next_leaf = leaves + 4;
   for (vertex_id s : small) {
     edges.push_back({hub, s, {}});
     for (int i = 0; i < 5; ++i) edges.push_back({s, next_leaf++, {}});
   }
-  ASSERT_EQ(next_leaf, n);
-  auto g = gbbs::build_symmetric_graph<empty_weight>(n, edges);
-  ASSERT_GT(g.out_degree(hub), 2 * gbbs::internal::kEdgeMapBlock);
+  hub_case c{gbbs::build_symmetric_graph<empty_weight>(n, edges),
+             {small[0], hub, small[1], small[2]},
+             std::vector<std::uint8_t>(n, 0)};
+  for (vertex_id v : c.ids) c.visited[v] = 1;
+  for (vertex_id v = 1; v < n; v += 3) c.visited[v] = 1;
+  return c;
+}
 
-  // The hub sits second so its edges start at a non-zero offset.
-  const std::vector<vertex_id> ids = {small[0], hub, small[1], small[2]};
-  std::vector<std::uint8_t> visited(n, 0);
-  for (vertex_id v : ids) visited[v] = 1;
-  for (vertex_id v = 1; v < n; v += 3) visited[v] = 1;
-  std::uint64_t deg_sum = 0;
-  for (vertex_id u : ids) deg_sum += g.out_degree(u);
+// The blocked kernel sizes its blocks to the round (degree sum and active
+// workers). A hub whose edges start mid-block and cross several block
+// boundaries, with some targets already visited, must be split across
+// blocks without dropping or duplicating a target, at the minimum block
+// size and at the cap, at 1, 2 and all workers.
+TEST(EdgeMapData, BlocksStraddlingAVertexMatchReference) {
+  using gbbs::internal::kEdgeMapBlock;
+  using gbbs::internal::kEdgeMapMinBlock;
+  const std::size_t p = parlib::num_workers();
+  // 2500 edges make minimum-size blocks at any worker count; a degree sum
+  // over 8 * p * kEdgeMapBlock makes cap-size blocks at up to p workers.
+  const auto small_round = static_cast<vertex_id>(2500);
+  const auto big_round = static_cast<vertex_id>(8 * p * kEdgeMapBlock + 5000);
+  for (vertex_id leaves : {small_round, big_round}) {
+    const hub_case c = make_hub_case(leaves);
+    const auto& g = c.g;
+    const vertex_id n = g.num_vertices();
+    std::uint64_t deg_sum = 0;
+    for (vertex_id u : c.ids) deg_sum += g.out_degree(u);
 
-  // Sequential reference: each unvisited target with its one frontier
-  // neighbor (every leaf has exactly one).
-  std::vector<entry> expected;
-  for (vertex_id u : ids) {
-    for (vertex_id v : g.out_neighbors(u)) {
-      if (!visited[v]) expected.push_back({v, u});
+    // Sequential reference: each unvisited target with its one frontier
+    // neighbor (every leaf has exactly one).
+    std::vector<entry> expected;
+    for (vertex_id u : c.ids) {
+      for (vertex_id v : g.out_neighbors(u)) {
+        if (!c.visited[v]) expected.push_back({v, u});
+      }
+    }
+    std::sort(expected.begin(), expected.end());
+    std::vector<vertex_id> expected_ids;
+    for (const auto& [v, u] : expected) expected_ids.push_back(v);
+    ASSERT_GT(expected.size(), 0u);
+
+    for (std::size_t workers : {std::size_t{1}, std::min<std::size_t>(2, p),
+                                p}) {
+      parlib::active_workers_guard guard(workers);
+      const std::uint64_t bsize = gbbs::internal::block_size(deg_sum);
+      EXPECT_EQ(bsize, leaves == small_round ? kEdgeMapMinBlock
+                                             : kEdgeMapBlock)
+          << workers << " workers";
+      // The hub's edge range [6, 6 + deg) starts mid-block and crosses at
+      // least two block boundaries.
+      const std::uint64_t hub_lo = g.out_degree(c.ids[0]);
+      ASSERT_NE(hub_lo % bsize, 0u);
+      ASSERT_GE((hub_lo + g.out_degree(c.ids[1])) / bsize - hub_lo / bsize,
+                2u);
+
+      for (auto dir :
+           {edge_map_direction::sparse, edge_map_direction::dense}) {
+        std::vector<std::uint8_t> vis = c.visited;
+        vertex_subset f(n, c.ids);
+        EXPECT_EQ(sorted_ids(gbbs::edge_map(g, f, acquire_f{&vis}, dir)),
+                  expected_ids);
+      }
+
+      const auto& ev = gbbs::obs::events();
+      for (bool use_blocked : {true, false}) {
+        std::vector<std::uint8_t> vis = c.visited;
+        vertex_subset f(n, c.ids);
+        const std::uint64_t slots = ev.edgemap_slots_written.value();
+        const std::uint64_t examined = ev.edgemap_edges_examined.value();
+        auto out = gbbs::edge_map_data<vertex_id>(g, f, acquire_data_f{&vis},
+                                                  use_blocked);
+        EXPECT_EQ(sorted_entries(std::move(out)), expected)
+            << workers << " workers, use_blocked=" << use_blocked;
+        EXPECT_EQ(ev.edgemap_edges_examined.value() - examined, deg_sum);
+        EXPECT_EQ(ev.edgemap_slots_written.value() - slots,
+                  use_blocked ? expected.size() : deg_sum);
+      }
     }
   }
-  std::sort(expected.begin(), expected.end());
-  std::vector<vertex_id> expected_ids;
-  for (const auto& [v, u] : expected) expected_ids.push_back(v);
-  ASSERT_GT(expected.size(), 0u);
+}
 
-  for (auto dir : {edge_map_direction::sparse, edge_map_direction::dense}) {
-    std::vector<std::uint8_t> vis = visited;
-    vertex_subset f(n, ids);
-    EXPECT_EQ(sorted_ids(gbbs::edge_map(g, f, acquire_f{&vis}, dir)),
-              expected_ids);
+// A hop-count relaxation without cond, like the SSSP functors: the dense
+// kernel cannot exit early on it, so edge_map charges a dense round n + m.
+struct hop_f {
+  std::vector<std::uint32_t>* dist;
+  bool update(vertex_id u, vertex_id v, empty_weight) const {
+    const std::uint32_t nd = parlib::atomic_load(&(*dist)[u]) + 1;
+    if (nd >= (*dist)[v]) return false;
+    parlib::atomic_store(&(*dist)[v], nd);
+    return true;
   }
+  bool update_atomic(vertex_id u, vertex_id v, empty_weight) const {
+    return parlib::write_min(&(*dist)[v], parlib::atomic_load(&(*dist)[u]) + 1);
+  }
+};
 
-  const auto& ev = gbbs::obs::events();
-  for (bool use_blocked : {true, false}) {
-    std::vector<std::uint8_t> vis = visited;
-    vertex_subset f(n, ids);
-    const std::uint64_t slots = ev.edgemap_slots_written.value();
-    const std::uint64_t examined = ev.edgemap_edges_examined.value();
-    auto out = gbbs::edge_map_data<vertex_id>(g, f, acquire_data_f{&vis},
-                                              use_blocked);
-    EXPECT_EQ(sorted_entries(std::move(out)), expected)
-        << "use_blocked=" << use_blocked;
-    EXPECT_EQ(ev.edgemap_edges_examined.value() - examined, deg_sum);
-    EXPECT_EQ(ev.edgemap_slots_written.value() - slots,
-              use_blocked ? expected.size() : deg_sum);
+// The direction rule: a functor with cond goes dense once |F| + deg_sum
+// exceeds m / 20, a cond-less one only past m / 3. Between the two, the
+// cond-less functor runs sparse and acquire_f runs dense; above m / 3 both
+// run dense. Each choice must give the forced direction's frontier.
+TEST(EdgeMap, DenseThresholdDependsOnCond) {
+  auto g = gbbs::rmat_symmetric(12, 60000, 31);
+  const vertex_id n = g.num_vertices();
+  const std::uint64_t m = g.num_edges();
+  // Lowest ids first until |F| + deg_sum passes m / 8, then everything.
+  std::vector<vertex_id> mid;
+  std::uint64_t cost = 0;
+  for (vertex_id v = 0; v < n && cost <= m / 8; ++v) {
+    mid.push_back(v);
+    cost += 1 + g.out_degree(v);
+  }
+  ASSERT_GT(cost, m / 20);
+  ASSERT_LE(cost, m / 3);
+  std::vector<vertex_id> all(n);
+  for (vertex_id v = 0; v < n; ++v) all[v] = v;
+  ASSERT_GT(n + m, m / 3);
+
+  // edge_map of f over ids in direction dir: the sorted output frontier;
+  // *scanned = the edgemap.dense_vertices delta (n for a dense round).
+  const auto& dense = gbbs::obs::events().edgemap_dense_vertices;
+  auto run = [&](const std::vector<vertex_id>& ids, auto f,
+                 edge_map_direction dir, std::uint64_t* scanned) {
+    vertex_subset frontier(n, ids);
+    const std::uint64_t before = dense.value();
+    auto out = sorted_ids(gbbs::edge_map(g, frontier, f, dir));
+    *scanned = dense.value() - before;
+    return out;
+  };
+  constexpr auto kInf = std::numeric_limits<std::uint32_t>::max();
+  for (const auto* ids : {&mid, &all}) {
+    const bool above = ids == &all;
+    std::uint64_t scanned = 0, forced_scanned = 0;
+
+    std::vector<std::uint32_t> dist(n, kInf);
+    for (vertex_id v : *ids) dist[v] = 0;
+    std::vector<std::uint32_t> forced_dist = dist;
+    const auto hop_out = run(*ids, hop_f{&dist},
+                             edge_map_direction::automatic, &scanned);
+    const auto hop_forced = run(*ids, hop_f{&forced_dist},
+                                edge_map_direction::dense, &forced_scanned);
+    EXPECT_EQ(scanned, above ? n : 0u) << "cond-less, above m/3: " << above;
+    EXPECT_EQ(forced_scanned, n);
+    EXPECT_EQ(hop_out, hop_forced);
+    EXPECT_EQ(dist, forced_dist);
+
+    std::vector<std::uint8_t> vis(n, 0);
+    for (vertex_id v : *ids) vis[v] = 1;
+    std::vector<std::uint8_t> forced_vis = vis;
+    const auto acq_out = run(*ids, acquire_f{&vis},
+                             edge_map_direction::automatic, &scanned);
+    const auto acq_forced = run(*ids, acquire_f{&forced_vis},
+                                edge_map_direction::sparse, &forced_scanned);
+    EXPECT_EQ(scanned, n) << "acquire_f, above m/3: " << above;
+    EXPECT_EQ(forced_scanned, 0u);
+    EXPECT_EQ(acq_out, acq_forced);
+    EXPECT_EQ(vis, forced_vis);
   }
 }
 

@@ -52,6 +52,44 @@ TEST_P(SsspSuite, BellmanFordMatchesDijkstraOnPositiveWeights) {
   }
 }
 
+// Bellman-Ford's relaxation has no cond, so the automatic direction rule
+// charges its dense rounds n + m; every direction must give the same
+// distances. The torus runs many sparse rounds, R-MAT some dense ones.
+class BellmanFordDirections
+    : public ::testing::TestWithParam<gbbs::edge_map_direction> {};
+INSTANTIATE_TEST_SUITE_P(
+    Directions, BellmanFordDirections,
+    ::testing::Values(gbbs::edge_map_direction::automatic,
+                      gbbs::edge_map_direction::sparse,
+                      gbbs::edge_map_direction::dense));
+
+TEST_P(BellmanFordDirections, MatchesDijkstra) {
+  for (const std::string name : {"torus", "rmat"}) {
+    auto g = gbbs::testing::make_symmetric_weighted(name);
+    const vertex_id src = g.num_vertices() / 3;
+    auto got = gbbs::bellman_ford(g, src, GetParam());
+    auto expected = gbbs::seq::dijkstra(g, src);
+    for (std::size_t v = 0; v < expected.size(); ++v) {
+      const auto want = expected[v] == gbbs::seq::kInfDist64
+                            ? gbbs::kInfDist64
+                            : expected[v];
+      ASSERT_EQ(got[v], want) << name << " v=" << v;
+    }
+  }
+}
+
+TEST_P(BellmanFordDirections, NegativeCycleReportsMinusInfinity) {
+  // 0 -> 1 -> 2 -> 1 with cycle weight -1; 2 -> 3. 4 -> 5 is unreachable.
+  std::vector<gbbs::edge<std::int32_t>> edges = {
+      {0, 1, 1}, {1, 2, 1}, {2, 1, -2}, {2, 3, 5}, {4, 5, -1}};
+  auto g = gbbs::build_asymmetric_graph<std::int32_t>(6, edges);
+  auto got = gbbs::bellman_ford(g, 0, GetParam());
+  const std::vector<std::int64_t> expected = {
+      0, gbbs::kNegInfDist64, gbbs::kNegInfDist64, gbbs::kNegInfDist64,
+      gbbs::kInfDist64, gbbs::kInfDist64};
+  EXPECT_EQ(got, expected);
+}
+
 TEST(Sssp, WbfsAndBellmanFordAgree) {
   auto g = gbbs::testing::make_symmetric_weighted("rmat", 11);
   auto a = gbbs::wbfs(g, 5);
