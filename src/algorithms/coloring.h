@@ -4,7 +4,8 @@
 // (largest-degree-first) heuristic is the alternative order; its only
 // caller outside the tests is algorithms/stats.h.
 //
-// The order defines the priority DAG of priority_dag.h. Roots color
+// The order (a higher heuristic key first, then a vertex's random priority,
+// a hash of its id) defines the priority DAG of priority_dag.h. Roots color
 // themselves with the smallest color absent from their neighborhood, then
 // release their later neighbors with fetch-and-add.
 #pragma once
@@ -29,18 +30,19 @@ enum class coloring_heuristic { llf, lf };
 namespace coloring_internal {
 
 // The coloring order as priorities: a higher heuristic key first, then a
-// lower random rank. (~key, rank) packs both into one word. The LLF key
+// lower random priority, then (priority_dag's tie rule) a lower id. The
+// last two are the order of parlib::random_permutation(n, rng).
+// (~key, random) packs the first two into one word. The LLF key
 // ceil(log2(d + 1)) is bit_width(d).
 template <typename Graph>
 std::vector<std::uint64_t> order(const Graph& g, coloring_heuristic heuristic,
                                  parlib::random rng) {
-  const auto rank =
-      permutation_ranks(parlib::random_permutation(g.num_vertices(), rng));
-  return parlib::tabulate<std::uint64_t>(rank.size(), [&](std::size_t v) {
+  return parlib::tabulate<std::uint64_t>(g.num_vertices(), [&](std::size_t v) {
     const vertex_id d = g.out_degree(static_cast<vertex_id>(v));
     const std::uint32_t key =
         heuristic == coloring_heuristic::llf ? std::bit_width(d) : d;
-    return (std::uint64_t{~key} << 32) | rank[v];
+    return (std::uint64_t{~key} << 32) |
+           static_cast<std::uint32_t>(rng.ith_rand(v));
   });
 }
 

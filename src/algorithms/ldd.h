@@ -29,7 +29,10 @@ struct ldd_f {
   std::vector<vertex_id>* cluster;
   std::vector<vertex_id>* parents;  // optional: BFS-tree parent per vertex
 
-  bool cond(vertex_id v) const { return (*cluster)[v] == kNoVertex; }
+  // Races update_atomic's CAS on the same slot, hence an atomic load.
+  bool cond(vertex_id v) const {
+    return parlib::atomic_load(&(*cluster)[v]) == kNoVertex;
+  }
   bool update(vertex_id u, vertex_id v, auto) const {
     if ((*cluster)[v] == kNoVertex) {
       (*cluster)[v] = (*cluster)[u];

@@ -1,17 +1,20 @@
 // Maximal matching (Algorithm 11, prefix-based): O(m) expected work,
 // O(log^3 m / log log m) depth w.h.p. on the PW-MT-RAM.
 //
-// Edges receive random priorities. Per Section 4, a constant number of
-// filtering steps each extract the ~3n/2 highest-priority (lowest key)
-// remaining edges, run the parallel greedy matcher on the prefix (an edge
-// joins the matching when it is the best-priority edge at both endpoints),
-// and then pack out edges incident to matched vertices.
+// The undirected edges are read from the CSR once, each at its lower
+// endpoint (csr_edges.h, shared with MSF), with the hash of its CSR
+// position p, rng.ith_rand(p), as its random priority. Per Section 4, a
+// constant number of filtering steps each extract the ~3n/2 highest-priority
+// (lowest key) remaining edges, run the parallel greedy matcher on the
+// prefix (an edge joins the matching when it is the best-priority edge at
+// both endpoints), and then pack out edges incident to matched vertices.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <vector>
 
+#include "algorithms/csr_edges.h"
 #include "graph/graph.h"
 #include "parlib/atomics.h"
 #include "parlib/parallel.h"
@@ -25,9 +28,12 @@ namespace mm_internal {
 
 struct prio_edge {
   vertex_id u, v;
-  std::uint64_t pri;  // random priority; unique w.h.p.
+  std::uint64_t pri;  // random priority, distinct per edge
 };
 
+// The empty winner slot. An edge whose priority equals it still matches
+// correctly: it reads its own priority back from an endpoint slot only if
+// no other edge wrote there, that is, when it is the minimum there anyway.
 inline constexpr std::uint64_t kNoPriority =
     std::numeric_limits<std::uint64_t>::max();
 
@@ -43,20 +49,16 @@ void greedy_match(std::vector<prio_edge> prefix,
       parlib::write_min(&best[prefix[i].u], prefix[i].pri);
       parlib::write_min(&best[prefix[i].v], prefix[i].pri);
     });
-    std::vector<std::uint8_t> won(prefix.size(), 0);
-    parlib::parallel_for(0, prefix.size(), [&](std::size_t i) {
+    const std::size_t old = matching.size();
+    parlib::pack_blocks(prefix.size(), [&](std::size_t i, const auto& emit) {
       const auto& e = prefix[i];
       if (best[e.u] == e.pri && best[e.v] == e.pri) {
-        won[i] = 1;
-        matched[e.u] = 1;
-        matched[e.v] = 1;
+        emit(edge<W>{e.u, e.v, W{}});
       }
-    });
-    auto winners = parlib::pack(prefix, won);
-    const std::size_t old = matching.size();
-    matching.resize(old + winners.size());
-    parlib::parallel_for(0, winners.size(), [&](std::size_t i) {
-      matching[old + i] = edge<W>{winners[i].u, winners[i].v, W{}};
+    }, matching, old);
+    parlib::parallel_for(old, matching.size(), [&](std::size_t i) {
+      matched[matching[i].u] = 1;
+      matched[matching[i].v] = 1;
     });
     // Reset priority slots and drop edges with a matched endpoint. Edges
     // that share an endpoint reset its slot concurrently, hence atomic
@@ -80,16 +82,13 @@ std::vector<edge<typename Graph::weight_type>> maximal_matching(
     std::size_t filter_steps = 3) {
   using W = typename Graph::weight_type;
   const vertex_id n = g.num_vertices();
-  auto all = g.edges();
-  auto half = parlib::filter(all, [](const auto& e) { return e.u < e.v; });
-  std::vector<mm_internal::prio_edge> edges(half.size());
-  parlib::parallel_for(0, half.size(), [&](std::size_t i) {
-    // High bits random, low bits the edge index: priorities are unique (so
-    // two edges can never both claim an endpoint) and below kNoPriority.
-    edges[i] = {half[i].u, half[i].v,
-                ((rng.ith_rand(i) & 0x7FFFFFFFull) << 32) |
-                    static_cast<std::uint32_t>(i)};
-  });
+  // An edge's priority hashes its CSR position p: rng.ith_rand is a
+  // bijection (the splitmix64 finalizer is invertible), so priorities are
+  // distinct for every position below m.
+  auto edges = csr_edges(g).template extract<mm_internal::prio_edge>(
+      [&](vertex_id u, vertex_id v, auto, std::uint64_t p, const auto& emit) {
+        emit(mm_internal::prio_edge{u, v, rng.ith_rand(p)});
+      });
 
   std::vector<std::uint8_t> matched(n, 0);
   std::vector<std::uint64_t> best(n, mm_internal::kNoPriority);

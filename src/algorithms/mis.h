@@ -1,16 +1,17 @@
 // Maximal independent set (Algorithm 10, Blelloch-Fineman-Shun rootset
 // algorithm): O(m) expected work, O(log^2 n) depth w.h.p. on the FA-MT-RAM.
 //
-// A random permutation orders the vertices, and the priority DAG of
-// priority_dag.h counts each vertex's earlier neighbors. Roots (count 0)
+// A vertex's random priority is a hash of its id, ties broken by id: the
+// order of parlib::random_permutation under the same seed. The priority DAG
+// of priority_dag.h counts each vertex's earlier neighbors. Roots (count 0)
 // join the MIS, their waiting neighbors are removed, and the removed
 // vertices release their later neighbors with fetch-and-add — a vertex
 // whose count reaches 0 is a new root.
 //
 // The prefix-based variant of [19] (the baseline the paper compares against
 // in Section 6) is also provided: it speculatively processes a prefix of
-// the permutation per round, committing vertices whose earlier neighbors
-// are all decided.
+// that permutation per round, committing vertices whose earlier neighbors
+// (by the same priorities) are all decided.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +29,13 @@
 namespace gbbs {
 
 namespace mis_internal {
+
+// The random priority of each vertex, compared by priority_before.
+inline std::vector<std::uint32_t> priorities(vertex_id n, parlib::random rng) {
+  return parlib::tabulate<std::uint32_t>(n, [&](std::size_t v) {
+    return static_cast<std::uint32_t>(rng.ith_rand(v));
+  });
+}
 
 // Removes (retires) the waiting neighbors of a rootset.
 template <typename Dag>
@@ -48,8 +56,7 @@ std::vector<std::uint8_t> mis_rootset(const Graph& g,
                                       parlib::random rng = parlib::random(
                                           0x315)) {
   const vertex_id n = g.num_vertices();
-  // A vertex's priority is its position in the permutation.
-  priority_dag dag(g, permutation_ranks(parlib::random_permutation(n, rng)));
+  priority_dag dag(g, mis_internal::priorities(n, rng));
   std::vector<std::uint8_t> in_mis(n, 0);
   dag.run([&](vertex_subset& roots) {
     vertex_map(roots, [&](vertex_id v) { in_mis[v] = 1; });
@@ -69,7 +76,7 @@ std::vector<std::uint8_t> mis_prefix(const Graph& g,
   const vertex_id n = g.num_vertices();
   if (prefix_size == 0) prefix_size = std::max<std::size_t>(64, n / 25);
   const auto perm = parlib::random_permutation(n, rng);
-  const auto rank = permutation_ranks(perm);
+  const auto priority = mis_internal::priorities(n, rng);
 
   // status: 0 undecided, 1 in MIS, 2 removed. A round reads the statuses
   // that others in the same prefix write, hence atomic accesses.
@@ -88,7 +95,9 @@ std::vector<std::uint8_t> mis_prefix(const Graph& g,
             has_mis_neighbor = true;
             return false;
           }
-          if (rank[u] < rank[v] && s == 0) all_earlier_decided = false;
+          if (s == 0 && priority_before(priority, u, v)) {
+            all_earlier_decided = false;
+          }
           return true;
         });
         if (has_mis_neighbor || all_earlier_decided) {

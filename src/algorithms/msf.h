@@ -9,10 +9,11 @@
 // edges whose endpoints are still in different components, relabeled to
 // component ids (the pack-out). Further filtering steps, if any, repeat
 // select / Boruvka / pack-out on that remainder list, and one final Boruvka
-// call solves what is left. An edge's id is its CSR position; ties are
-// broken by it, which makes the chosen forest deterministic and total
-// weight minimal. Boruvka allocates its scratch once per call, not per
-// round.
+// call solves what is left. The CSR reads, pivot samples and position
+// lookups go through csr_edges.h, which maximal matching shares. An edge's
+// id is its CSR position; ties are broken by it, which makes the chosen
+// forest deterministic and total weight minimal. Boruvka allocates its
+// scratch once per call, not per round.
 #pragma once
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "algorithms/csr_edges.h"
 #include "graph/graph.h"
 #include "parlib/atomics.h"
 #include "parlib/parallel.h"
@@ -60,47 +62,6 @@ std::size_t shortcut(const std::vector<indexed_edge>& in, std::size_t size,
     if (pu != pv && keep(in[i])) emit(indexed_edge{pu, pv, in[i].w, in[i].id});
   };
   return parlib::pack_blocks(size, each, out, 0, scratch);
-}
-
-// The CSR's edges (u, v), u < v, with keep(w) whose endpoints lie in
-// different components, relabeled to component ids, in CSR order. starts[u]
-// is u's first CSR position (prefix sums of out-degrees).
-template <typename Graph, typename Keep>
-std::vector<indexed_edge> extract(const Graph& g,
-                                  const std::vector<edge_id>& starts,
-                                  const std::vector<vertex_id>& parents,
-                                  const Keep& keep) {
-  auto each = [&](std::size_t u, const auto& emit) {
-    std::uint64_t pos = starts[u];
-    g.map_out_neighbors_early_exit(
-        static_cast<vertex_id>(u), [&](vertex_id a, vertex_id b, auto w) {
-          if (a < b && parents[a] != parents[b] && keep(w)) {
-            emit(indexed_edge{parents[a], parents[b], w, pos});
-          }
-          ++pos;
-          return true;
-        });
-  };
-  std::vector<indexed_edge> out;
-  parlib::pack_blocks(g.num_vertices(), each, out);
-  return out;
-}
-
-// The original edge at CSR position p: u is the last row starting at or
-// before p (zero-degree rows share their start), then v and w by random
-// access into u's neighborhood.
-template <typename Graph>
-edge<std::uint32_t> edge_at(const Graph& g, const std::vector<edge_id>& starts,
-                            std::uint64_t p) {
-  const auto u = static_cast<vertex_id>(
-      std::upper_bound(starts.begin(), starts.end(), p) - starts.begin() - 1);
-  edge<std::uint32_t> e{u, kNoVertex, 0};
-  const std::size_t j = p - starts[u];
-  g.map_out_neighbors_range(u, j, j + 1, [&](vertex_id, vertex_id v, auto w) {
-    e.v = v;
-    e.w = w;
-  });
-  return e;
 }
 
 // One Boruvka solve over `edges` whose endpoints are component ids in the
@@ -176,16 +137,21 @@ struct msf_result {
 template <typename Graph>
 msf_result msf(const Graph& g, bool use_filtering = true,
                std::size_t filter_steps = 3) {
-  using msf_internal::edge_at;
-  using msf_internal::extract;
   const vertex_id n = g.num_vertices();
-  std::vector<edge_id> starts(static_cast<std::size_t>(n) + 1, 0);
-  std::vector<vertex_id> parents(n);
-  parlib::parallel_for(0, n, [&](std::size_t v) {
-    starts[v] = g.out_degree(static_cast<vertex_id>(v));
-    parents[v] = static_cast<vertex_id>(v);
-  });
-  const edge_id m = parlib::scan_inplace(starts);
+  const csr_edges csr(g);
+  const edge_id m = csr.num_positions();
+  auto parents = parlib::iota<vertex_id>(n);
+  // The CSR's edges with keep(w) whose endpoints lie in different
+  // components, relabeled to component ids, in CSR order.
+  auto extract = [&](const auto& keep) {
+    return csr.template extract<msf_internal::indexed_edge>(
+        [&](vertex_id a, vertex_id b, auto w, std::uint64_t p,
+            const auto& emit) {
+          if (parents[a] != parents[b] && keep(w)) {
+            emit(msf_internal::indexed_edge{parents[a], parents[b], w, p});
+          }
+        });
+  };
   std::vector<std::uint64_t> forest;
   forest.reserve(n);
   msf_result res;
@@ -198,16 +164,14 @@ msf_result msf(const Graph& g, bool use_filtering = true,
     ++res.num_filter_steps;
     const std::uint32_t pivot = parlib::approximate_kth_smallest(
         m, 2 * target,
-        [&](std::size_t i) { return edge_at(g, starts, i).w; },
+        [&](std::size_t i) { return csr.edge_at(i).w; },
         parlib::random(0x317));
     msf_internal::boruvka(
         parents,
-        extract(g, starts, parents,
-                [&](std::uint32_t w) { return w <= pivot; }),
+        extract([&](std::uint32_t w) { return w <= pivot; }),
         forest);
     // Pack out: the heavy edges whose endpoints are still apart.
-    edges = extract(g, starts, parents,
-                    [&](std::uint32_t w) { return w > pivot; });
+    edges = extract([&](std::uint32_t w) { return w > pivot; });
     for (std::size_t step = 1;
          step < filter_steps && edges.size() > 2 * target; ++step) {
       ++res.num_filter_steps;
@@ -224,12 +188,12 @@ msf_result msf(const Graph& g, bool use_filtering = true,
       edges = std::move(rest);
     }
   } else {
-    edges = extract(g, starts, parents, [](std::uint32_t) { return true; });
+    edges = extract([](std::uint32_t) { return true; });
   }
   msf_internal::boruvka(parents, std::move(edges), forest);
 
   res.forest = parlib::map(
-      forest, [&](std::uint64_t p) { return edge_at(g, starts, p); });
+      forest, [&](std::uint64_t p) { return csr.edge_at(p); });
   auto ws = parlib::map(res.forest, [](const auto& e) {
     return static_cast<std::uint64_t>(e.w);
   });

@@ -1,7 +1,8 @@
 // The priority DAG shared by MIS (Algorithm 10, the rootset algorithm) and
 // Jones-Plassmann coloring (Algorithm 12, both schedules).
 //
-// Distinct priorities order the vertices (lower first), and every edge
+// Priorities order the vertices, lower first, with ties broken by the lower
+// vertex id, so they need not be distinct (priority_before). Every edge
 // points from its earlier endpoint to its later one. count[v] holds v's
 // unfinished earlier neighbors; the zero-count vertices are the roots. A
 // finished vertex releases its later neighbors with fetch-and-add, and a
@@ -23,14 +24,13 @@
 
 namespace gbbs {
 
-// rank[v] = position of v in perm: the inverse of parlib::random_permutation.
-inline std::vector<std::uint32_t> permutation_ranks(
-    const std::vector<std::uint32_t>& perm) {
-  std::vector<std::uint32_t> rank(perm.size());
-  parlib::parallel_for(0, perm.size(), [&](std::size_t i) {
-    rank[perm[i]] = static_cast<std::uint32_t>(i);
-  });
-  return rank;
+// u comes before v: the lower priority first, then the lower id. With the
+// priority uint32(rng.ith_rand(v)) this is the order of
+// parlib::random_permutation(n, rng).
+template <typename Priority>
+bool priority_before(const std::vector<Priority>& priority, vertex_id u,
+                     vertex_id v) {
+  return priority[u] < priority[v] || (priority[u] == priority[v] && u < v);
 }
 
 template <typename Graph, typename Priority>
@@ -90,7 +90,7 @@ class priority_dag {
 
  private:
   bool before(vertex_id u, vertex_id v) const {
-    return priority_[u] < priority_[v];
+    return priority_before(priority_, u, v);
   }
 
   struct release_f {

@@ -13,9 +13,11 @@
 // ceil((1+eps)^(b-1)) elements join the cover.
 //
 // Per Section 4/6, the priorities of the active sets are REGENERATED every
-// round (a fresh random permutation). The `regenerate_priorities = false`
-// baseline reuses static vertex-id priorities, reproducing the pathology
-// the paper reports on meshes/tori (up to 56x slower on 3D-Torus).
+// round: a set's priority is a hash of its id under the round's fork of the
+// seed, ties broken by id (the id fills the low half, so priorities stay
+// distinct). The `regenerate_priorities = false` baseline reuses static
+// vertex-id priorities, reproducing the pathology the paper reports on
+// meshes/tori (up to 56x slower on 3D-Torus).
 #pragma once
 
 #include <cmath>
@@ -78,12 +80,10 @@ set_cover_result set_cover(Graph g, vertex_id num_sets,
   auto buckets = make_buckets(num_sets, bucket_of, bucket_order::decreasing);
 
   set_cover_result res;
-  std::size_t round_id = 0;
   while (true) {
     auto [bkt, sets] = buckets.next_bucket();
     if (bkt == kNullBucket) break;
     ++res.num_rounds;
-    ++round_id;
 
     // Pack out covered elements; recompute degrees.
     parlib::parallel_for(0, sets.size(), [&](std::size_t i) {
@@ -92,61 +92,49 @@ set_cover_result set_cover(Graph g, vertex_id num_sets,
       });
     });
     const vertex_id thresh = threshold_of_bucket(static_cast<bucket_id>(bkt));
-    auto still_high = parlib::tabulate<std::uint8_t>(
-        sets.size(), [&](std::size_t i) {
-          return static_cast<std::uint8_t>(g.out_degree(sets[i]) >= thresh);
-        });
-    auto sc = parlib::pack(sets, still_high);
-    auto sr = parlib::pack(sets, parlib::map(still_high, [](std::uint8_t b) {
-                             return static_cast<std::uint8_t>(!b);
-                           }));
+    auto sc = parlib::filter(
+        sets, [&](vertex_id s) { return g.out_degree(s) >= thresh; });
+    auto sr = parlib::filter(
+        sets, [&](vertex_id s) { return g.out_degree(s) < thresh; });
 
     // MaNIS step over SC with (optionally regenerated) random priorities.
-    std::vector<std::uint64_t> pri(sc.size());
-    if (opts.regenerate_priorities) {
-      auto perm = parlib::random_permutation(
-          sc.size(), opts.rng.fork(round_id));
-      parlib::parallel_for(0, sc.size(), [&](std::size_t i) {
-        pri[i] = (static_cast<std::uint64_t>(perm[i]) << 32) | sc[i];
-      });
-    } else {
-      parlib::parallel_for(0, sc.size(), [&](std::size_t i) {
-        pri[i] = (static_cast<std::uint64_t>(sc[i]) << 32) | sc[i];
-      });
-    }
+    const parlib::random round_rng = opts.rng.fork(res.num_rounds);
+    auto pri = parlib::map(sc, [&](vertex_id s) {
+      const std::uint32_t r =
+          opts.regenerate_priorities
+              ? static_cast<std::uint32_t>(round_rng.ith_rand(s))
+              : s;
+      return (static_cast<std::uint64_t>(r) << 32) | s;
+    });
     parlib::parallel_for(0, sc.size(), [&](std::size_t i) {
       g.map_out_neighbors(sc[i], [&](vertex_id, vertex_id e, auto) {
         parlib::write_min(&elt_winner[e], pri[i]);
       });
     });
-    // Sets that acquired >= thresh elements join the cover.
-    std::vector<std::uint8_t> won(sc.size(), 0);
+    // Sets that acquired >= thresh elements join the cover and cover them.
     parlib::parallel_for(0, sc.size(), [&](std::size_t i) {
       const std::size_t acquired = g.count_out(
           sc[i], [&](vertex_id, vertex_id e, auto) {
             return elt_winner[e] == pri[i];
           });
-      if (acquired >= thresh) won[i] = 1;
-    });
-    parlib::parallel_for(0, sc.size(), [&](std::size_t i) {
-      if (!won[i]) return;
+      if (acquired < thresh) return;
       in_cover[sc[i]] = 1;
       set_bucket[sc[i]] = kNullBucket;  // done
       g.map_out_neighbors(sc[i], [&](vertex_id, vertex_id e, auto) {
         if (elt_winner[e] == pri[i]) covered[e] = 1;
       });
     });
-    // Reset priority slots of elements that stayed uncovered.
+    // Reset priority slots of elements that stayed uncovered. The sets
+    // that share an element reset its slot concurrently, hence atomic
+    // stores.
     parlib::parallel_for(0, sc.size(), [&](std::size_t i) {
       g.map_out_neighbors(sc[i], [&](vertex_id, vertex_id e, auto) {
-        if (!covered[e]) elt_winner[e] = kNoWinner;
+        if (!covered[e]) parlib::atomic_store(&elt_winner[e], kNoWinner);
       });
     });
     // Rebucket losers and shrunken sets.
-    auto losers = parlib::pack(
-        sc, parlib::map(won, [](std::uint8_t w) {
-          return static_cast<std::uint8_t>(!w);
-        }));
+    auto losers =
+        parlib::filter(sc, [&](vertex_id s) { return !in_cover[s]; });
     std::vector<std::pair<vertex_id, bucket_id>> updates;
     updates.reserve(losers.size() + sr.size());
     auto add_updates = [&](const std::vector<vertex_id>& vs) {

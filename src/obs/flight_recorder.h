@@ -277,8 +277,6 @@ class flight_recorder {
     return dticks > 0 && dns > 0 ? dns / dticks : 1.0;
   }
 
-  std::uint64_t anchor_ticks() const { return anchor_ticks_; }
-
   double ticks_to_us(std::uint64_t ticks, double ns_per_tick_v) const {
     return static_cast<double>(ticks - anchor_ticks_) * ns_per_tick_v / 1e3;
   }

@@ -67,11 +67,6 @@ inline stage_ref stage_named(const char* name) {
   return stage_ref{&stage(name), flight_recorder::global().intern(name)};
 }
 
-// One-off timeline marker (no duration), e.g. a publish decision.
-inline void trace_instant(const stage_ref& s) {
-  flight_recorder::global().emit(event_type::instant, s.name_id);
-}
-
 class trace_span {
  public:
   explicit trace_span(histogram& h)

@@ -38,9 +38,4 @@ auto min_monoid() {
                      [](T a, T b) { return std::min(a, b); });
 }
 
-template <typename T>
-auto or_monoid() {
-  return make_monoid(T{0}, [](T a, T b) { return a | b; });
-}
-
 }  // namespace parlib

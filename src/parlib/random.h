@@ -57,7 +57,8 @@ namespace parlib {
 
 // A uniformly random permutation of [0, n), computed by sorting indices by
 // 64-bit random keys (stable sort makes the tiny collision probability
-// harmless: the result is a permutation regardless).
+// harmless: the result is a permutation regardless). It lists i in the
+// order of the pair (uint32_t(rng.ith_rand(i)), i).
 inline std::vector<std::uint32_t> random_permutation(std::size_t n,
                                                      random rng) {
   std::vector<std::uint64_t> keyed(n);

@@ -68,7 +68,6 @@ inline std::uint64_t& tls_trace_id() {
 }
 
 inline std::uint64_t current_trace_id() { return tls_trace_id(); }
-inline void set_current_trace_id(std::uint64_t id) { tls_trace_id() = id; }
 
 // RAII: bind `id` as the thread's current trace id for the scope's extent,
 // restoring the previous binding on exit (scopes nest; an ingest batch

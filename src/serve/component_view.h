@@ -69,15 +69,6 @@ class component_view {
     return label(u) == label(v);
   }
 
-  // Number of vertices the anchor covers (vertices at/above are singletons
-  // from this view's perspective).
-  std::size_t anchor_size() const {
-    return anchor_ == nullptr ? 0 : anchor_->size();
-  }
-  std::size_t num_links() const {
-    return links_ == nullptr ? 0 : links_->size();
-  }
-
   // O(n) flat label vector — for verification paths and tests only; the
   // serving read path never materializes.
   std::vector<vertex_id> materialize(vertex_id n) const {
@@ -116,7 +107,6 @@ class component_tracker {
   }
 
   bool needs_anchor() const { return link_uf_.size() > kLinkBudget; }
-  std::size_t num_links() const { return link_uf_.size(); }
 
   // Re-anchor on fresh fully-materialized labels (seed, erase-triggered
   // rebuild, link-budget overflow) and clear the link map.

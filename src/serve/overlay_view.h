@@ -106,15 +106,6 @@ struct overlay_snapshot {
     return &it->second;
   }
 
-  // f(u, row) over every indexed vertex (bucket order; vertex-sorted
-  // within a bucket).
-  template <typename F>
-  void for_each_row(const F& f) const {
-    for (const auto& b : buckets) {
-      for (const auto& [u, r] : b->rows) f(u, r);
-    }
-  }
-
   vertex_id degree(vertex_id u) const {
     if (const overlay_row<W>* r = row(u)) return r->live_deg;
     return u < base.num_vertices() ? base.out_degree(u) : 0;

@@ -213,8 +213,6 @@ class sharded_snapshot_manager {
 
   // ---- introspection ------------------------------------------------------
 
-  // Batches ingested (the clock value the stream has reached).
-  std::uint64_t ingest_version() const { return ingested_batches_; }
   // min over shards of the last applied batch — the composite clock's
   // current visibility frontier. Safe from any thread.
   std::uint64_t applied_version() const {

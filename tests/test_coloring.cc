@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "algorithms/coloring.h"
+#include "algorithms/priority_dag.h"
 #include "graph/compression/compressed_graph.h"
 #include "parlib/random.h"
 #include "seq/reference.h"
@@ -86,6 +87,32 @@ TEST_P(ColoringSuite, MatchesSequentialGreedyInTheSameOrder) {
                 want)
           << GetParam() << " seed " << seed;
     }
+  }
+}
+
+// Equal priorities fall back to vertex ids: the DAG is the id order, so
+// the synchronous schedule colors greedily in id order.
+TEST(PriorityDag, EqualPrioritiesBreakTiesById) {
+  auto path = gbbs::build_symmetric_graph<gbbs::empty_weight>(
+      50, gbbs::path_edges(50));
+  gbbs::priority_dag path_dag(
+      path, std::vector<std::uint32_t>(path.num_vertices(), 7));
+  EXPECT_EQ(path_dag.roots(), std::vector<vertex_id>{0});
+
+  for (const auto& name : gbbs::testing::symmetric_suite_names()) {
+    auto g = gbbs::testing::make_symmetric(name);
+    const vertex_id n = g.num_vertices();
+    gbbs::priority_dag dag(g, std::vector<std::uint32_t>(n, 7));
+    std::vector<vertex_id> color(n, gbbs::kNoVertex);
+    dag.run([&](gbbs::vertex_subset& roots) {
+      gbbs::vertex_map(roots, [&](vertex_id v) {
+        gbbs::coloring_internal::assign_color(g, color, v);
+      });
+      return std::move(roots);
+    });
+    std::vector<vertex_id> id_order(n);
+    for (vertex_id v = 0; v < n; ++v) id_order[v] = v;
+    EXPECT_EQ(color, gbbs::seq::greedy_coloring(g, id_order)) << name;
   }
 }
 

@@ -1,11 +1,14 @@
 // Maximal matching: validity (disjoint + maximal) across the suite, seeds,
 // and filter-step counts.
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "algorithms/maximal_matching.h"
+#include "parlib/scheduler.h"
 #include "seq/reference.h"
 #include "test_graphs.h"
 
@@ -33,14 +36,28 @@ TEST_P(MatchingSuite, SeedsVaryButStayValid) {
   }
 }
 
+// The matched pairs, sorted, with multiplicity: a pair emitted twice shows.
+std::vector<std::pair<vertex_id, vertex_id>> sorted_pairs(
+    const std::vector<gbbs::edge<gbbs::empty_weight>>& matching) {
+  std::vector<std::pair<vertex_id, vertex_id>> s;
+  for (const auto& e : matching) s.push_back({e.u, e.v});
+  std::sort(s.begin(), s.end());
+  return s;
+}
+
 TEST_P(MatchingSuite, FilterStepCountsAgree) {
   auto g = gbbs::testing::make_symmetric(GetParam());
   auto a = gbbs::maximal_matching(g, parlib::random(5), 0);  // no filtering
   auto b = gbbs::maximal_matching(g, parlib::random(5), 4);
   ASSERT_TRUE(gbbs::seq::is_valid_maximal_matching(g, a));
   ASSERT_TRUE(gbbs::seq::is_valid_maximal_matching(g, b));
-  // Same priorities => same greedy matching regardless of filtering.
-  EXPECT_EQ(a.size(), b.size());
+  // Same priorities => same greedy matching regardless of filtering and of
+  // the worker count.
+  EXPECT_EQ(sorted_pairs(a), sorted_pairs(b));
+  parlib::active_workers_guard one(1);
+  auto c = gbbs::maximal_matching(g, parlib::random(5), 4);
+  ASSERT_TRUE(gbbs::seq::is_valid_maximal_matching(g, c));
+  EXPECT_EQ(sorted_pairs(c), sorted_pairs(a));
 }
 
 TEST(Matching, PathAlternates) {
@@ -77,11 +94,9 @@ TEST(Matching, GreedyOnSamePrioritiesIsDeterministic) {
   auto g = gbbs::testing::make_symmetric("rmat");
   auto a = gbbs::maximal_matching(g, parlib::random(11));
   auto b = gbbs::maximal_matching(g, parlib::random(11));
+  ASSERT_TRUE(gbbs::seq::is_valid_maximal_matching(g, a));
   ASSERT_EQ(a.size(), b.size());
-  std::set<std::pair<vertex_id, vertex_id>> sa, sb;
-  for (const auto& e : a) sa.insert({e.u, e.v});
-  for (const auto& e : b) sb.insert({e.u, e.v});
-  EXPECT_EQ(sa, sb);
+  EXPECT_EQ(sorted_pairs(a), sorted_pairs(b));
 }
 
 }  // namespace

@@ -101,11 +101,10 @@ TEST(SetCover, EmptySetsNeverChosen) {
   EXPECT_TRUE(gbbs::seq::covers_all(g, 5, res.cover));
 }
 
-TEST(SetCover, TorusNeighborhoodInstanceTerminates) {
-  // The paper's instance family: elements are vertices, sets are vertex
-  // neighborhoods. On tori the static-priority baseline exhibits its
-  // pathology; both modes must still produce valid covers.
-  auto torus = gbbs::torus3d_symmetric(6);
+// The paper's instance family: elements are vertices, sets are closed
+// vertex neighborhoods.
+gbbs::graph<gbbs::empty_weight> torus_neighborhood_instance(vertex_id side) {
+  auto torus = gbbs::torus3d_symmetric(side);
   const vertex_id n = torus.num_vertices();
   gbbs::edge_list edges;
   for (vertex_id v = 0; v < n; ++v) {
@@ -114,12 +113,32 @@ TEST(SetCover, TorusNeighborhoodInstanceTerminates) {
     }
     edges.push_back({v, n + v, {}});  // closed neighborhood
   }
-  auto g = gbbs::build_symmetric_graph<gbbs::empty_weight>(2 * n, edges);
-  for (bool regen : {true, false}) {
-    gbbs::set_cover_options o;
-    o.regenerate_priorities = regen;
-    auto res = gbbs::set_cover(g, n, o);
-    ASSERT_TRUE(gbbs::seq::covers_all(g, n, res.cover)) << regen;
+  return gbbs::build_symmetric_graph<gbbs::empty_weight>(2 * n, edges);
+}
+
+TEST(SetCover, TorusNeighborhoodInstanceTerminates) {
+  // On tori the static-priority baseline exhibits its pathology; both
+  // modes must still produce valid covers.
+  for (vertex_id side : {6u, 10u}) {
+    auto g = torus_neighborhood_instance(side);
+    const vertex_id n = g.num_vertices() / 2;
+    for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
+      std::size_t rounds[2] = {0, 0};
+      for (bool regen : {true, false}) {
+        gbbs::set_cover_options o;
+        o.regenerate_priorities = regen;
+        o.rng = parlib::random(seed);
+        auto res = gbbs::set_cover(g, n, o);
+        ASSERT_TRUE(gbbs::seq::covers_all(g, n, res.cover))
+            << side << " " << regen;
+        rounds[regen] = res.num_rounds;
+      }
+      // The pathology itself (Section 6): static priorities take several
+      // times the rounds of regenerated ones.
+      if (side == 10) {
+        EXPECT_GT(rounds[false], 2 * rounds[true]) << "seed " << seed;
+      }
+    }
   }
 }
 
